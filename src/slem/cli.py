@@ -122,6 +122,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     t0 = time.perf_counter()
     doc = _load_config(args.config)
     _check_keys(doc, ("grid", "sigma2", "alpha", "matern_range", "beta", "replicates", "seed"),
@@ -165,9 +167,8 @@ def cmd_simulate(args) -> int:
         slemio.write_points_csv(os.path.join(args.out, p_name), pts)
         return rep, y_name, p_name, data.Y.total()
 
-    jobs = max(1, args.jobs)
-    if jobs > 1 and scenario.replicates > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and scenario.replicates > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(one, range(scenario.replicates)))
     else:
         results = [one(rep) for rep in range(scenario.replicates)]
@@ -211,7 +212,7 @@ def cmd_fit(args) -> int:
     with open(os.path.join(args.out, "objective_trace.csv"), "w") as fh:
         fh.write("iteration,q_incumbent,q_updated\n")
         for i, (qi, qu) in enumerate(result.objective_trace):
-            fh.write(f"{i},{qi!r},{qu!r}\n")
+            fh.write(f"{i},{slemio._fmt(qi)},{slemio._fmt(qu)}\n")
     _write_json(os.path.join(args.out, "diagnostics.json"),
                 _jsonable(result.diagnostics))
     runtime = result.diagnostics.get("runtime_seconds", float("nan"))
@@ -375,9 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers across replicates")
-        p.add_argument("--sqrt-display", action="store_true",
-                       help="also export square-root transformed intensity")
+        if name == "simulate":
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers across replicates")
+        if name == "predict":
+            p.add_argument("--sqrt-display", action="store_true",
+                           help="also export square-root transformed intensity")
         p.set_defaults(func=func)
     return parser
 
@@ -386,8 +389,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except ConfigError as exc:

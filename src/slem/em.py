@@ -8,6 +8,11 @@ profiled 1-D search over the range for eta.  The surrogate objective is
                                    + (W_t - X beta)' Sigma_eta^{-1} (W_t - X beta)
                                    + (1/M) sum_i v_i' Sigma_eta^{-1} u_i ].
 
+Sigma_eta is circulant, so by Parseval the last two terms are one sum over
+frequencies of a power spectrum P(omega) of the residual and the probe pairs,
+divided by the candidate spectrum.  The range search computes P once and
+then prices each candidate without an FFT.
+
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so the recorded objective trace is monotone by
 construction, not just in exact arithmetic.
@@ -20,12 +25,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import CollinearityError, ConfigError
-from .grid import CountGrid, GridSpec
+from .errors import CollinearityError, ConfigError, NumericalError
+from .grid import CountGrid, GridSpec, unflatten
 from .laplace import newton_mode
 from .spectral import (CovParams, SpectralField, log_det, quasi_matern_shape,
                        quasi_matern_spectrum, sigma_inv_matvec)
-from .trace import ProbePairs, make_probes, trace_term
+from .trace import ProbePairs, make_probes
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
 
@@ -109,15 +114,35 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
+def power_spectrum(r, probes: ProbePairs | None, grid: GridSpec) -> np.ndarray:
+    """P(omega) = |DFT(r)|^2 + (1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)).
+
+    By Parseval, (1/n) sum_omega P / f = r' Sigma_f^{-1} r
+    + (1/M) sum_i v_i' Sigma_f^{-1} u_i for every spectrum f, so one P prices
+    the quadratic and trace parts of Q at any candidate without further FFTs.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.size != grid.n or (probes is not None and probes.v.shape[1] != grid.n):
+        raise ConfigError(f"residual or probe length does not match grid {grid.n1}x{grid.n2}")
+    rh = np.fft.fft2(unflatten(r, grid.n1, grid.n2))
+    P = rh.real ** 2 + rh.imag ** 2
+    if probes is not None:
+        vh = np.fft.fft2(np.stack([unflatten(v, grid.n1, grid.n2) for v in probes.v]))
+        uh = np.fft.fft2(np.stack([unflatten(u, grid.n1, grid.n2) for u in probes.u]))
+        P += np.mean(vh.real * uh.real + vh.imag * uh.imag, axis=0)
+    if not np.all(np.isfinite(P)):
+        raise NumericalError("residual or probes contain non-finite entries")
+    return P
+
+
 def q_tilde(theta: Theta, W_mode, X, probes: ProbePairs | None, grid: GridSpec,
             f: SpectralField | None = None) -> float:
     """Q(theta | theta_t; M) for the probe pairs built at theta_t."""
     if f is None:
         f = quasi_matern_spectrum(theta.eta, grid)
-    r = W_mode - X @ theta.beta if X is not None and theta.beta.size else np.asarray(W_mode, float)
-    quad = float(r @ sigma_inv_matvec(f, r))
-    tr = trace_term(f, probes) if probes is not None else 0.0
-    return -0.5 * (log_det(f) + quad + tr)
+    r = W_mode - X @ theta.beta if X is not None and theta.beta.size else W_mode
+    P = power_spectrum(r, probes, grid)
+    return -0.5 * (log_det(f) + float(np.sum(P / f.values)) / grid.n)
 
 
 def update_beta(W_mode, X, f_t: SpectralField) -> np.ndarray:
@@ -143,23 +168,16 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
-def profiled_sigma2(r, alpha: float, probes: ProbePairs | None, grid: GridSpec) -> float:
-    """sigma2 maximizing Q at fixed alpha: (r' G_a^{-1} r + trace part) / n."""
-    g = SpectralField(quasi_matern_shape(alpha, grid))
-    quad = float(r @ sigma_inv_matvec(g, r))
-    tr = trace_term(g, probes) if probes is not None else 0.0
-    return max((quad + tr) / grid.n, SIGMA2_FLOOR)
+def profiled_q(P, alpha: float, grid: GridSpec) -> tuple[float, float]:
+    """Q maximized over sigma2 at fixed alpha, and the maximizing sigma2.
 
-
-def _profile_objective(r, alpha: float, probes, grid: GridSpec):
-    # Q at (profiled sigma2, alpha); equals q_tilde there, constants included
-    g_shape = quasi_matern_shape(alpha, grid)
-    g = SpectralField(g_shape)
-    quad = float(r @ sigma_inv_matvec(g, r))
-    tr = trace_term(g, probes) if probes is not None else 0.0
-    s2 = max((quad + tr) / grid.n, SIGMA2_FLOOR)
-    obj = -0.5 * (grid.n * np.log(s2) + float(np.sum(np.log(g_shape))) + (quad + tr) / s2)
-    return obj, s2
+    With f = sigma2 g_alpha, Q = -1/2 [n log sigma2 + sum log g_alpha
+    + S / sigma2] where S = (1/n) sum P / g_alpha, so sigma2 = S / n (floored).
+    """
+    g = quasi_matern_shape(alpha, grid)
+    S = float(np.sum(P / g)) / grid.n
+    s2 = max(S / grid.n, SIGMA2_FLOOR)
+    return -0.5 * (grid.n * np.log(s2) + float(np.sum(np.log(g))) + S / s2), s2
 
 
 def update_eta(r, probes: ProbePairs | None, grid: GridSpec, bounds,
@@ -170,13 +188,13 @@ def update_eta(r, probes: ProbePairs | None, grid: GridSpec, bounds,
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi, got {bounds}")
-    r = np.asarray(r, dtype=float)
+    P = power_spectrum(r, probes, grid)
 
     cache = {}
 
     def phi(a):
         if a not in cache:
-            cache[a] = _profile_objective(r, a, probes, grid)
+            cache[a] = profiled_q(P, a, grid)
         return cache[a][0]
 
     coarse = np.geomspace(lo, hi, 25)
@@ -202,7 +220,7 @@ def update_eta(r, probes: ProbePairs | None, grid: GridSpec, bounds,
     if incumbent is not None and lo <= incumbent.alpha <= hi:
         candidates.append(incumbent.alpha)
     alpha_hat = max(candidates, key=phi)
-    obj, s2 = cache[alpha_hat]
+    s2 = cache[alpha_hat][1]
 
     if diagnostics is not None and (alpha_hat / lo < 1.001 or hi / alpha_hat < 1.001):
         diagnostics["alpha_bound_hits"] = diagnostics.get("alpha_bound_hits", 0) + 1
@@ -269,7 +287,10 @@ def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParam
         else:
             eta_new, f_new, q_new = eta, f, q_mid
 
-        assert q_new >= q_inc - 1e-9 * (1.0 + abs(q_inc))  # monotone M-step
+        if q_new < q_inc - 1e-9 * (1.0 + abs(q_inc)):
+            raise NumericalError(
+                f"M-step lowered the surrogate at EM iteration {iterations}: "
+                f"Q {q_inc:.17g} -> {q_new:.17g}")
         trace_rows.append((q_inc, q_new))
 
         d = Theta(beta_new, eta_new).vector() - theta_t.vector()

@@ -72,7 +72,6 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     W = Xbeta.copy() if W_init is None else np.asarray(W_init, dtype=float).copy()
     diag = diagnostics if diagnostics is not None else {}
 
-    inv0 = inverse_base_row(f)[0]
     obj = log_posterior(W, y_vec, delta, Xbeta, f)
     if not np.isfinite(obj):
         raise NumericalError("log posterior not finite at the Newton starting value")
@@ -82,9 +81,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     for _ in range(max_newton):
         iterations += 1
         score = posterior_score(W, Y, delta, Xbeta, f, diagnostics=diag)
-        c = delta * clamped_exp(W)
-        op = SpdOperator(apply=lambda v, c=c: sigma_inv_matvec(f, v) + c * v, diag=inv0 + c)
-        sol = pcg_solve(op, score, epsilon=eps_pcg)
+        sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg)
         if not sol.converged:
             diag["pcg_nonconverged"] = diag.get("pcg_nonconverged", 0) + 1
 

@@ -23,9 +23,6 @@ from scipy import special
 from .errors import ConfigError, NumericalError
 from .grid import GridSpec, flatten, unflatten
 
-DENSE_LIMIT = 4096  # dense_covariance is a test oracle, not a production path
-
-
 @dataclass(frozen=True)
 class CovParams:
     """Marginal variance sigma2 and inverse-range alpha, in pixel units."""
@@ -141,34 +138,10 @@ def sample_gp(f: SpectralField, seed: int) -> np.ndarray:
     return flatten(out)
 
 
-def base_row(f: SpectralField) -> np.ndarray:
-    """First row of Sigma, i.e. Cov(h) = (1/n) sum_omega f e^{i omega . h}, flattened."""
-    n1, n2 = f.shape
-    return flatten(np.fft.irfft2(f.values[:, : n2 // 2 + 1], s=(n1, n2)))
-
-
 def inverse_base_row(f: SpectralField) -> np.ndarray:
     """First row of Sigma^{-1}: same transform applied to 1/f."""
     n1, n2 = f.shape
     return flatten(np.fft.irfft2((1.0 / f.values)[:, : n2 // 2 + 1], s=(n1, n2)))
-
-
-def dense_covariance(f: SpectralField) -> np.ndarray:
-    """Dense Sigma assembled from the spectral sum; test oracle only.
-
-    Deliberately avoids the FFT so it is an independent route: the lag table
-    comes from explicit complex-exponential matrix products.
-    """
-    n1, n2 = f.shape
-    n = n1 * n2
-    if n > DENSE_LIMIT:
-        raise ConfigError(f"dense covariance limited to n <= {DENSE_LIMIT}, got n = {n}")
-    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
-    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
-    lags = (e1 @ f.values @ e2.T).real / n  # lags[h1, h2] = Cov((h1, h2))
-    idx = np.arange(n)
-    i1, i2 = idx % n1, idx // n1
-    return lags[(i1[:, None] - i1[None, :]) % n1, (i2[:, None] - i2[None, :]) % n2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Hutchinson estimation of the E-step trace term.
 
 The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
-solved once per EM iteration; trace_term then prices any candidate spectrum
-against the same pairs with one cheap matvec each, which is what makes the
-1-D range search affordable.
+solved once per EM iteration.  The M-step never calls trace_term: it folds the
+pairs into one power spectrum (em.power_spectrum) per iteration, which prices
+every candidate range with a sum over frequencies and no FFT.  trace_term is
+the direct form, one matvec per probe, kept as the reference that tests
+compare the power spectrum against.
 """
 from __future__ import annotations
 

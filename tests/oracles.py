@@ -2,13 +2,37 @@
 
 Everything here goes through dense linear algebra or explicit loops on
 purpose: no FFT matvecs, no PCG, no shared code paths with the solvers under
-test beyond dense_covariance (itself assembled FFT-free from the spectral
-sum).
+test.  dense_covariance is assembled FFT-free from the spectral sum; base_row
+is the FFT route to the same lag table, checked against it.
 """
 import numpy as np
 from scipy.special import gammaln
 
-from slem import dense_covariance
+from slem import ConfigError, flatten
+
+DENSE_LIMIT = 4096  # dense matrices beyond this are too big for a test
+
+
+def dense_covariance(f):
+    """Dense Sigma assembled from the spectral sum, avoiding the FFT so it is
+    an independent route: the lag table comes from explicit
+    complex-exponential matrix products."""
+    n1, n2 = f.shape
+    n = n1 * n2
+    if n > DENSE_LIMIT:
+        raise ConfigError(f"dense covariance limited to n <= {DENSE_LIMIT}, got n = {n}")
+    e1 = np.exp(2j * np.pi * np.outer(np.arange(n1), np.arange(n1)) / n1)
+    e2 = np.exp(2j * np.pi * np.outer(np.arange(n2), np.arange(n2)) / n2)
+    lags = (e1 @ f.values @ e2.T).real / n  # lags[h1, h2] = Cov((h1, h2))
+    idx = np.arange(n)
+    i1, i2 = idx % n1, idx // n1
+    return lags[(i1[:, None] - i1[None, :]) % n1, (i2[:, None] - i2[None, :]) % n2]
+
+
+def base_row(f):
+    """First row of Sigma, i.e. Cov(h) = (1/n) sum_omega f e^{i omega . h}, flattened."""
+    n1, n2 = f.shape
+    return flatten(np.fft.irfft2(f.values[:, : n2 // 2 + 1], s=(n1, n2)))
 
 
 def dense_sigma(f):

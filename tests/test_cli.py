@@ -150,6 +150,16 @@ def test_fit_writes_theta_and_surfaces(tmp_path):
     assert diags["runtime_seconds"] > 0
 
 
+def test_fit_objective_trace_is_numeric(tmp_path):
+    sim = simulate_dir(tmp_path)
+    code, out = fit_dir(tmp_path, sim, fit_doc={"max_em": 3})
+    assert code == 0
+    rows = (out / "objective_trace.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 3
+    values = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert values.shape == (3, 3) and np.all(np.isfinite(values))
+
+
 def test_fit_unconverged_still_exits_zero(tmp_path):
     sim = simulate_dir(tmp_path)
     code, out = fit_dir(tmp_path, sim, fit_doc={"max_em": 1, "eps_em": 1e-12})
@@ -309,9 +319,18 @@ def test_unknown_subcommand_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_jobs_exits_one(tmp_path):
+def test_bad_jobs_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(4, 4), "sigma2": 0.5,
+                                             "alpha": 2.0, "beta": [0.2]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fit", "--jobs", "2"], ["simulate", "--sqrt-display"]])
+def test_options_only_on_their_subcommand(tmp_path, capsys, argv):
     cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(4, 4)})
-    assert main(["fit", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 1
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_one(tmp_path):

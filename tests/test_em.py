@@ -2,16 +2,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_gls, dense_q_tilde, dense_sigma_inv
 from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
-                  FitConfig, GridSpec, ProbePairs, SimScenario, Theta,
-                  amplitude_for_variance, fit, flatten, make_probes, q_tilde,
-                  quasi_matern_spectrum, sample_gp, simulate_dataset,
-                  unflatten, update_beta, update_eta)
-from slem.em import _em_stage, profiled_sigma2
+                  FitConfig, GridSpec, NumericalError, ProbePairs, SimScenario,
+                  SpectralField, Theta, amplitude_for_variance, fit, flatten,
+                  make_probes, q_tilde, quasi_matern_spectrum, sample_gp,
+                  sigma_inv_matvec, simulate_dataset, trace_term, unflatten,
+                  update_beta, update_eta)
+from slem import em
+from slem.em import _em_stage, power_spectrum, profiled_q
 
 GRID6 = GridSpec.unit(6, 6)
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
@@ -26,6 +28,10 @@ def em_instance(eta_t, seed=0, M=3, p=2):
     c = 0.2 + rng.random(GRID6.n)
     probes = make_probes(M, GRID6.n, seed, f_t, c, eps_pcg=1e-10)
     return W, X, c, probes
+
+
+def profiled_sigma2(r, alpha, probes, grid):
+    return profiled_q(power_spectrum(r, probes, grid), alpha, grid)[1]
 
 
 def dense_trace_value(eta_cand, probes, grid):
@@ -58,6 +64,40 @@ def test_q_tilde_matches_dense(eta_t):
     want = dense_q_tilde(theta.eta.sigma2, theta.eta.alpha, r, tr_val, GRID6)
     got = q_tilde(theta, W, X, probes, GRID6)
     np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(5, 7), (7, 5), (6, 6), (8, 8), (1, 6)]),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_power_spectrum_matches_matvec_and_trace_term(shape, M, seed):
+    # Parseval: (1/n) sum P / f is the quadratic form plus the Hutchinson
+    # trace, for any spectrum symmetric under frequency negation
+    n1, n2 = shape
+    grid = GridSpec.unit(n1, n2)
+    rng = np.random.default_rng(seed)
+    raw = np.exp(rng.uniform(-3.0, 3.0, size=shape))
+    f = SpectralField(0.5 * (raw + np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1))))
+    r = rng.standard_normal(grid.n) * rng.uniform(0.1, 10.0)
+    probes = None
+    if M:
+        v = rng.choice([-1.0, 1.0], size=(M, grid.n))
+        probes = ProbePairs(v, rng.standard_normal((M, grid.n)), np.ones(M, dtype=bool))
+    got = float(np.sum(power_spectrum(r, probes, grid) / f.values)) / grid.n
+    quad = float(r @ sigma_inv_matvec(f, r))
+    tr = trace_term(f, probes) if probes is not None else 0.0
+    # random u can cancel the quadratic part, so scale by the terms' magnitudes
+    scale = quad + (np.mean([abs(vi @ sigma_inv_matvec(f, ui))
+                             for vi, ui in zip(probes.v, probes.u)]) if M else 0.0)
+    assert abs(got - (quad + tr)) <= 1e-12 * scale
+
+
+def test_power_spectrum_rejects_bad_input():
+    r = np.ones(GRID6.n)
+    with pytest.raises(ConfigError):
+        power_spectrum(r[:-1], None, GRID6)
+    r[3] = np.nan
+    with pytest.raises(NumericalError):
+        power_spectrum(r, None, GRID6)
 
 
 def test_q_tilde_accepts_precomputed_spectrum():
@@ -170,6 +210,9 @@ def test_profiled_sigma2_is_stationary_point():
     q_star = q_at(s2)
     assert q_at(s2 * (1 + 1e-4)) <= q_star
     assert q_at(s2 * (1 - 1e-4)) <= q_star
+    # the profiled objective is q_tilde there, constants included
+    q_prof = profiled_q(power_spectrum(W, probes, GRID6), alpha, GRID6)[0]
+    np.testing.assert_allclose(q_prof, q_star, rtol=1e-12)
 
 
 def test_update_eta_dominates_2d_grid_search():
@@ -295,6 +338,15 @@ def test_fixed_scheme_freezes_beta_after_first_iteration():
         beta, *_ = _em_stage(Y, X, grid, cfg, eta0, None, "fixed", (1e-2, 8.0), {})
         out.append(beta)
     np.testing.assert_array_equal(out[0], out[1])
+
+
+def test_m_step_that_lowers_q_raises(monkeypatch):
+    # the fixed scheme keeps the first GLS beta whatever Q says, so a beta
+    # far from the data must trip the monotone-M-step check
+    Y, X, grid = small_dataset(seed=6)
+    monkeypatch.setattr(em, "update_beta", lambda W, X, f: np.full(X.shape[1], 50.0))
+    with pytest.raises(NumericalError, match="lowered the surrogate"):
+        fit(Y, X, grid, FitConfig(max_em=2, scheme="fixed", seed=0))
 
 
 def test_fit_recovers_strong_slope():

@@ -4,12 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special
 
+from oracles import base_row, dense_covariance
 from slem import (ConfigError, CovParams, GridSpec, SpectralField,
                   amplitude_for_variance, calibrate_range_to_matern,
-                  dense_covariance, flatten, inverse_base_row, log_det,
-                  marginal_variance, matern_correlation, quasi_matern_spectrum,
-                  sample_gp, sigma_inv_matvec, sigma_matvec)
-from slem.spectral import base_row, correlation_at_lag
+                  inverse_base_row, log_det, marginal_variance,
+                  matern_correlation, quasi_matern_spectrum, sample_gp,
+                  sigma_inv_matvec, sigma_matvec)
+from slem.spectral import correlation_at_lag
 
 GRID6 = GridSpec.unit(6, 6)
 GRID8 = GridSpec.unit(8, 8)
