@@ -2,7 +2,8 @@
 
 from .covariates import (CovariateMatrix, MinuteStack, block_summaries,
                          select_summary, standardize, summarize_blocks)
-from .em import FitConfig, FitResult, Theta, fit, q_tilde, update_beta, update_eta
+from .em import (FitConfig, FitResult, Theta, fit, power_spectrum, probe_spectrum,
+                 q_tilde, update_beta, update_eta)
 from .errors import CollinearityError, ConfigError, NumericalError, SlemError
 from .grid import (CountGrid, GridSpec, PointPattern, bin_points, domain_mask,
                    flatten, split_train_test, unflatten)
@@ -33,8 +34,8 @@ __all__ = [
     "estimate_intensity", "fit", "flatten", "intensity_mean", "interior_mask",
     "inverse_base_row", "local_variance", "log_det", "log_score",
     "make_probes", "marginal_variance", "matern_correlation", "newton_mode",
-    "pcg_solve",
-    "posterior_score", "q_tilde", "quasi_matern_spectrum", "recover_z",
+    "pcg_solve", "posterior_score", "power_spectrum", "probe_spectrum",
+    "q_tilde", "quasi_matern_spectrum", "recover_z",
     "rmse_log_intensity", "sample_gp", "scatter_points", "select_summary",
     "sigma_inv_matvec", "sigma_matvec", "simulate_dataset",
     "split_train_test", "standardize", "summarize_blocks", "trace_term",

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -122,8 +121,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     t0 = time.perf_counter()
     doc = _load_config(args.config)
     _check_keys(doc, ("grid", "sigma2", "alpha", "matern_range", "beta", "replicates", "seed"),
@@ -158,22 +155,16 @@ def cmd_simulate(args) -> int:
         slemio.write_matrix_csv(os.path.join(args.out, "X.csv"), X, names)
         files["X"] = "X.csv"
 
-    def one(rep):
+    files["replicates"] = {}
+    for rep in range(scenario.replicates):
         data = simulate_dataset(scenario, rep)
         y_name = f"Y_{rep:03d}.csv"
         p_name = f"points_{rep:03d}.csv"
         slemio.write_raster_csv(os.path.join(args.out, y_name), data.Y.values)
         pts = scatter_points(data.Y, seed=[seed, 3, rep])
         slemio.write_points_csv(os.path.join(args.out, p_name), pts)
-        return rep, y_name, p_name, data.Y.total()
-
-    if args.jobs > 1 and scenario.replicates > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, range(scenario.replicates)))
-    else:
-        results = [one(rep) for rep in range(scenario.replicates)]
-    files["replicates"] = {str(rep): {"counts": y, "points": p, "total": tot}
-                           for rep, y, p, tot in results}
+        files["replicates"][str(rep)] = {"counts": y_name, "points": p_name,
+                                         "total": data.Y.total()}
     manifest = {"grid": _grid_to_doc(grid), "sigma2": scenario.eta_true.sigma2,
                 "alpha": scenario.eta_true.alpha, "beta": list(map(float, scenario.beta_true)),
                 "replicates": scenario.replicates, "seed": seed, "files": files,
@@ -376,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "simulate":
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers across replicates")
         if name == "predict":
             p.add_argument("--sqrt-display", action="store_true",
                            help="also export square-root transformed intensity")

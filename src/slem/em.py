@@ -10,8 +10,10 @@ profiled 1-D search over the range for eta.  The surrogate objective is
 
 Sigma_eta is circulant, so by Parseval the last two terms are one sum over
 frequencies of a power spectrum P(omega) of the residual and the probe pairs,
-divided by the candidate spectrum.  The range search computes P once and
-then prices each candidate without an FFT.
+divided by the candidate spectrum.  Each EM iteration transforms the probe
+pairs once and the residual once per beta it prices (the incumbent and, when
+the beta step runs, the GLS candidate); q_tilde and the range search then
+price every candidate eta from P without an FFT.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so the recorded objective trace is monotone by
@@ -114,34 +116,41 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 
-def power_spectrum(r, probes: ProbePairs | None, grid: GridSpec) -> np.ndarray:
-    """P(omega) = |DFT(r)|^2 + (1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)).
+def probe_spectrum(probes: ProbePairs, grid: GridSpec) -> np.ndarray:
+    """(1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)), the trace part of P.
+
+    The probe pairs are fixed within an EM iteration, so their 2M FFTs run
+    once per iteration; power_spectrum adds the residual part.
+    """
+    if probes.v.shape[1] != grid.n:
+        raise ConfigError(
+            f"probe length {probes.v.shape[1]} does not match grid {grid.n1}x{grid.n2}")
+    vh = np.fft.fft2(np.stack([unflatten(v, grid.n1, grid.n2) for v in probes.v]))
+    uh = np.fft.fft2(np.stack([unflatten(u, grid.n1, grid.n2) for u in probes.u]))
+    return np.mean(vh.real * uh.real + vh.imag * uh.imag, axis=0)
+
+
+def power_spectrum(r, grid: GridSpec, probe_part) -> np.ndarray:
+    """P(omega) = |DFT(r)|^2 + probe_part, with probe_part from probe_spectrum
+    (0 for no trace term).
 
     By Parseval, (1/n) sum_omega P / f = r' Sigma_f^{-1} r
     + (1/M) sum_i v_i' Sigma_f^{-1} u_i for every spectrum f, so one P prices
     the quadratic and trace parts of Q at any candidate without further FFTs.
     """
     r = np.asarray(r, dtype=float)
-    if r.size != grid.n or (probes is not None and probes.v.shape[1] != grid.n):
-        raise ConfigError(f"residual or probe length does not match grid {grid.n1}x{grid.n2}")
+    if r.size != grid.n:
+        raise ConfigError(f"residual length {r.size} does not match grid {grid.n1}x{grid.n2}")
     rh = np.fft.fft2(unflatten(r, grid.n1, grid.n2))
-    P = rh.real ** 2 + rh.imag ** 2
-    if probes is not None:
-        vh = np.fft.fft2(np.stack([unflatten(v, grid.n1, grid.n2) for v in probes.v]))
-        uh = np.fft.fft2(np.stack([unflatten(u, grid.n1, grid.n2) for u in probes.u]))
-        P += np.mean(vh.real * uh.real + vh.imag * uh.imag, axis=0)
+    P = rh.real ** 2 + rh.imag ** 2 + probe_part
     if not np.all(np.isfinite(P)):
         raise NumericalError("residual or probes contain non-finite entries")
     return P
 
 
-def q_tilde(theta: Theta, W_mode, X, probes: ProbePairs | None, grid: GridSpec,
-            f: SpectralField | None = None) -> float:
-    """Q(theta | theta_t; M) for the probe pairs built at theta_t."""
-    if f is None:
-        f = quasi_matern_spectrum(theta.eta, grid)
-    r = W_mode - X @ theta.beta if X is not None and theta.beta.size else W_mode
-    P = power_spectrum(r, probes, grid)
+def q_tilde(P, f: SpectralField, grid: GridSpec) -> float:
+    """Q(theta | theta_t; M) at spectrum f, for the power spectrum P of the
+    residual at theta's beta and the probe pairs built at theta_t."""
     return -0.5 * (log_det(f) + float(np.sum(P / f.values)) / grid.n)
 
 
@@ -180,15 +189,15 @@ def profiled_q(P, alpha: float, grid: GridSpec) -> tuple[float, float]:
     return -0.5 * (grid.n * np.log(s2) + float(np.sum(np.log(g))) + S / s2), s2
 
 
-def update_eta(r, probes: ProbePairs | None, grid: GridSpec, bounds,
-               incumbent: CovParams | None = None, diagnostics=None) -> CovParams:
-    """Profiled 1-D maximization over alpha: coarse log-grid scan, then
-    golden-section to 1e-4 relative width, then a keep-the-better comparison
-    with the incumbent range so the step never loses ground."""
+def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
+               diagnostics=None) -> CovParams:
+    """Profiled 1-D maximization over alpha for the power spectrum P: coarse
+    log-grid scan, then golden-section to 1e-4 relative width, then a
+    keep-the-better comparison with the incumbent range so the step never
+    loses ground."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi, got {bounds}")
-    P = power_spectrum(r, probes, grid)
 
     cache = {}
 
@@ -235,11 +244,12 @@ def update_eta(r, probes: ProbePairs | None, grid: GridSpec, bounds,
 
 
 def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParams,
-              W0, scheme: str, bounds, diagnostics: dict):
+              W0, diagnostics: dict):
     """One EM run; X may be None (covariance-only model).  Returns the state
     at the last iteration plus the per-iteration objective pairs."""
     n = grid.n
     delta = grid.delta()
+    bounds = config.alpha_bounds if config.alpha_bounds is not None else (1e-2, float(grid.n1))
     p1 = X.shape[1] if X is not None else 0
     beta = np.zeros(p1)
     eta = eta0
@@ -261,27 +271,26 @@ def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParam
         probes = make_probes(config.M, n, config.seed + t, f, lap.c_diag, config.eps_pcg)
         if not probes.solve_converged.all():
             diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
+        probe_part = probe_spectrum(probes, grid)
 
         theta_t = Theta(beta, eta)
-        q_inc = q_tilde(theta_t, W, X, probes, grid, f=f)
+        P = power_spectrum(W - Xbeta, grid, probe_part)
+        q_inc = q_tilde(P, f, grid)
 
         # beta step (GLS); joint updates every iteration, fixed only at t = 0
-        if X is not None and (scheme == "joint" or t == 0):
+        # and then keeps that beta whatever Q says
+        beta_new, q_mid = beta, q_inc
+        if X is not None and (config.scheme == "joint" or t == 0):
             beta_cand = update_beta(W, X, f)
-            if scheme == "joint":
-                q_cand = q_tilde(Theta(beta_cand, eta), W, X, probes, grid, f=f)
-                beta_new, q_mid = (beta_cand, q_cand) if q_cand >= q_inc else (beta, q_inc)
-            else:
-                beta_new = beta_cand  # the fixed scheme freezes this whatever Q says
-                q_mid = q_tilde(Theta(beta_new, eta), W, X, probes, grid, f=f)
-        else:
-            beta_new, q_mid = beta, q_inc
+            P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
+            q_cand = q_tilde(P_cand, f, grid)
+            if config.scheme == "fixed" or q_cand >= q_inc:
+                beta_new, P, q_mid = beta_cand, P_cand, q_cand
 
         # eta step on the residual at the chosen beta
-        r = W - X @ beta_new if X is not None else W
-        eta_cand = update_eta(r, probes, grid, bounds, incumbent=eta, diagnostics=diagnostics)
+        eta_cand = update_eta(P, grid, bounds, incumbent=eta, diagnostics=diagnostics)
         f_cand = quasi_matern_spectrum(eta_cand, grid)
-        q_new = q_tilde(Theta(beta_new, eta_cand), W, X, probes, grid, f=f_cand)
+        q_new = q_tilde(P, f_cand, grid)
         if q_new >= q_mid:
             eta_new, f_new = eta_cand, f_cand
         else:
@@ -300,7 +309,7 @@ def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParam
             converged = True
             break
 
-    return beta, eta, f, W, iterations, converged, trace_rows
+    return beta, eta, W, iterations, converged, trace_rows
 
 
 def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
@@ -317,7 +326,6 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
         if X.shape[1] == 0:
             X = None
     y = Y.vector()
-    bounds = config.alpha_bounds if config.alpha_bounds is not None else (1e-2, float(grid.n1))
     diagnostics = {}
     t0 = time.perf_counter()
 
@@ -330,8 +338,8 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
         # unit prior variance so the intensity can still drift toward zero
         eta0 = CovParams(1.0, grid.n1 / 4.0)
         diagnostics["warmstart_sigma2_floored"] = True
-    _, eta_warm, _, W_warm, it1, conv1, rows1 = _em_stage(
-        Y, None, grid, config, eta0, None, config.scheme, bounds, diagnostics)
+    _, eta_warm, W_warm, it1, conv1, rows1 = _em_stage(
+        Y, None, grid, config, eta0, None, diagnostics)
     diagnostics["stage1_iterations"] = it1
     diagnostics["stage1_converged"] = conv1
     diagnostics["stage1_eta"] = [eta_warm.sigma2, eta_warm.alpha]
@@ -340,8 +348,8 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
         beta, eta, it2, conv2, rows2 = np.zeros(0), eta_warm, it1, conv1, rows1
         W_last = W_warm
     else:
-        beta, eta, _, W_last, it2, conv2, rows2 = _em_stage(
-            Y, X, grid, config, eta_warm, W_warm, config.scheme, bounds, diagnostics)
+        beta, eta, W_last, it2, conv2, rows2 = _em_stage(
+            Y, X, grid, config, eta_warm, W_warm, diagnostics)
 
     # refresh the mode at the final theta so W* matches theta*
     f_star = quasi_matern_spectrum(eta, grid)

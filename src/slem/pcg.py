@@ -52,8 +52,8 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
         max_iter = default_max_iter(n)
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    r = b.copy() if x0 is None else b - op.apply(x)  # no matvec on a zero start
     bnorm = np.linalg.norm(b)
-    r = b - op.apply(x)
     if np.linalg.norm(r) <= 1e-12 * bnorm or bnorm == 0.0:
         return PcgResult(x, 0, True)
 

@@ -36,17 +36,19 @@ def recover_z(W_star, X, beta_star) -> np.ndarray:
 
 
 def _neighbor_indices(grid: GridSpec, k: int):
-    """(n, k^2) wrap-around neighbor pixel indices, plus the center slot."""
+    """(n, k^2) wrap-around neighbor pixel indices and their offsets, with
+    the center pixel (offset (0, 0)) last."""
     half = k // 2
     offs = np.arange(-half, half + 1)
     o1, o2 = np.meshgrid(offs, offs, indexing="ij")
-    o1, o2 = o1.ravel(), o2.ravel()
-    center = int(np.nonzero((o1 == 0) & (o2 == 0))[0][0])
+    center = k * k // 2
+    o1 = np.append(np.delete(o1.ravel(), center), 0)
+    o2 = np.append(np.delete(o2.ravel(), center), 0)
     idx = np.arange(grid.n)
     i1, i2 = idx % grid.n1, idx // grid.n1
     n1_idx = (i1[:, None] + o1[None, :]) % grid.n1
     n2_idx = (i2[:, None] + o2[None, :]) % grid.n2
-    return n1_idx + grid.n1 * n2_idx, o1, o2, center
+    return n1_idx + grid.n1 * n2_idx, o1, o2
 
 
 def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
@@ -54,7 +56,9 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
 
     psi_diag is the data curvature Delta exp(W*).  The Sigma^{-1} block is the
     same for every pixel (translation invariance), so only the diagonal
-    changes across the grid; each pixel costs one small Cholesky solve.
+    changes across the grid.  With the center pixel ordered last, its entry
+    of the block inverse is 1 / L[-1, -1]^2 for the Cholesky factor L, so each
+    pixel costs one small Cholesky factorization.
     """
     n1, n2 = f_star.shape
     grid_n = n1 * n2
@@ -69,26 +73,22 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     grid = GridSpec.unit(n1, n2)
     inv_row = inverse_base_row(f_star)
     inv_lags = inv_row.reshape((n1, n2), order="F")
-    nbr, o1, o2, center = _neighbor_indices(grid, k)
+    nbr, o1, o2 = _neighbor_indices(grid, k)
     # Sigma^{-1} restricted to the neighborhood: depends only on offset lags
     prior_block = inv_lags[(o1[:, None] - o1[None, :]) % n1, (o2[:, None] - o2[None, :]) % n2]
 
     k2 = k * k
+    rows = np.arange(k2)
     out = np.empty(grid_n)
-    e_c = np.zeros(k2)
-    e_c[center] = 1.0
     for start in range(0, grid_n, BATCH):
         sl = slice(start, min(start + BATCH, grid_n))
         blocks = np.broadcast_to(prior_block, (sl.stop - sl.start, k2, k2)).copy()
-        rows = np.arange(k2)
         blocks[:, rows, rows] += psi_diag[nbr[sl]]
-        rhs = np.broadcast_to(e_c[:, None], (sl.stop - sl.start, k2, 1))
         try:
-            np.linalg.cholesky(blocks)  # definiteness gate, cheap at k^2 x k^2
-            sols = np.linalg.solve(blocks, rhs)
+            # index the factor at once so it does not outlive its batch
+            out[sl] = 1.0 / np.linalg.cholesky(blocks)[:, -1, -1] ** 2
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"local precision block not positive definite: {exc}") from exc
-        out[sl] = sols[:, center, 0]
     if np.any(out <= 0):
         raise NumericalError("non-positive local variance; posterior precision corrupted")
     return out

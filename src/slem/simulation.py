@@ -21,7 +21,6 @@ class SimScenario:
     grid: GridSpec
     eta_true: CovParams
     beta_true: np.ndarray          # empty for a covariance-only scenario
-    covariate_source: str = "standard-normal"
     replicates: int = 1
     seed: int = 0
 
@@ -29,10 +28,6 @@ class SimScenario:
         object.__setattr__(self, "beta_true", np.atleast_1d(np.asarray(self.beta_true, float)))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.covariate_source != "standard-normal":
-            raise ConfigError(
-                f"unknown covariate source {self.covariate_source!r}; supply rasters via the CLI"
-            )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Hutchinson estimation of the E-step trace term.
 
 The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
-solved once per EM iteration.  The M-step never calls trace_term: it folds the
-pairs into one power spectrum (em.power_spectrum) per iteration, which prices
-every candidate range with a sum over frequencies and no FFT.  trace_term is
-the direct form, one matvec per probe, kept as the reference that tests
-compare the power spectrum against.
+solved once per EM iteration.  The M-step never calls trace_term: it
+transforms the pairs once per iteration (em.probe_spectrum) and adds that
+spectrum to the power spectrum of each residual it prices, after which every
+candidate range is a sum over frequencies with no FFT.  trace_term is the
+direct form, one matvec per probe, kept as the reference that tests compare
+the power spectrum against.
 """
 from __future__ import annotations
 

@@ -69,6 +69,21 @@ def dense_posterior_precision(f_t, c_diag):
     return dense_sigma_inv(f_t) + np.diag(c_diag)
 
 
+def dense_local_variance(f, psi_diag, k):
+    """Per-pixel loop: invert the k x k wrap-around neighborhood block of the
+    dense posterior precision and read off the pixel's own entry."""
+    n1, n2 = f.shape
+    Psi = dense_posterior_precision(f, psi_diag)
+    offs = range(-(k // 2), k // 2 + 1)
+    out = np.empty(n1 * n2)
+    for i2 in range(n2):
+        for i1 in range(n1):
+            nbrs = [(i1 + a) % n1 + n1 * ((i2 + b) % n2) for b in offs for a in offs]
+            c = nbrs.index(i1 + n1 * i2)
+            out[i1 + n1 * i2] = np.linalg.inv(Psi[np.ix_(nbrs, nbrs)])[c, c]
+    return out
+
+
 def dense_trace(f_candidate, f_t, c_diag):
     """tr(Sigma_cand^{-1} (Sigma_t^{-1} + C)^{-1}) by explicit inversion."""
     A = dense_sigma_inv(f_candidate)

@@ -26,13 +26,13 @@ from golden_pipeline import EXPECTED_FILES, run_all
 from oracles import (dense_newton_mode, dense_sigma, dense_sigma_inv,
                      dense_trace, naive_log_score, naive_rmse)
 from slem import (CountGrid, CovParams, FitConfig, GridSpec, SimScenario,
-                  Theta, amplitude_for_variance, calibrate_range_to_matern,
+                  amplitude_for_variance, calibrate_range_to_matern,
                   fit, interior_mask, inverse_base_row, local_variance,
                   log_det, log_score, make_probes, newton_mode,
-                  posterior_score, q_tilde, quasi_matern_spectrum,
-                  rmse_log_intensity, sample_gp, sigma_inv_matvec,
-                  sigma_matvec, simulate_dataset, trace_term, unflatten,
-                  update_beta, update_eta)
+                  posterior_score, power_spectrum, probe_spectrum, q_tilde,
+                  quasi_matern_spectrum, rmse_log_intensity, sample_gp,
+                  sigma_inv_matvec, sigma_matvec, simulate_dataset,
+                  trace_term, unflatten, update_beta, update_eta)
 from test_golden import EXPECTED_ROOT, assert_numeric_close, normalized_text
 
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
@@ -164,7 +164,8 @@ def test_04_m_step_updates_match_brute_force():
         W = sample_gp(f_t, seed)
         c = 0.2 + np.random.default_rng(seed).random(grid.n)
         probes = make_probes(20, grid.n, seed, f_t, c, eps_pcg=1e-10)
-        eta_hat = update_eta(W, probes, grid, bounds)
+        P = power_spectrum(W, grid, probe_spectrum(probes, grid))
+        eta_hat = update_eta(P, grid, bounds)
 
         q_grid = np.empty((sigmas.size, alphas.size))
         for j, a in enumerate(alphas):
@@ -178,7 +179,7 @@ def test_04_m_step_updates_match_brute_force():
                                        + (quad1 + tr1) / s)
         k_star, j_star = np.unravel_index(np.argmax(q_grid), q_grid.shape)
         assert 0 < k_star < sigmas.size - 1
-        q_hat = q_tilde(Theta(np.zeros(0), eta_hat), W, None, probes, grid)
+        q_hat = q_tilde(P, quasi_matern_spectrum(eta_hat, grid), grid)
         dominated &= bool(q_hat >= q_grid[k_star, j_star] - 1e-9 * (1 + abs(q_hat)))
         worst_a = max(worst_a, abs(np.log(eta_hat.alpha / alphas[j_star])))
         worst_s = max(worst_s, abs(np.log(eta_hat.sigma2 / sigmas[k_star])))

@@ -80,22 +80,6 @@ def test_simulate_rejects_ambiguous_range(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_simulate_parallel_matches_serial(tmp_path):
-    doc = {"grid": grid_doc(8, 8), "sigma2": 0.5, "alpha": 2.0,
-           "beta": [0.2, 0.5], "replicates": 3, "seed": 1}
-    cfg = write_config(tmp_path / "sim.json", doc)
-    a, b = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["simulate", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(b), "--jobs", "4"]) == 0
-    for rep in range(3):
-        for stem in (f"Y_{rep:03d}.csv", f"points_{rep:03d}.csv"):
-            assert (a / stem).read_bytes() == (b / stem).read_bytes()
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    ma.pop("runtime_seconds"), mb.pop("runtime_seconds")
-    assert ma == mb
-
-
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -319,14 +303,7 @@ def test_unknown_subcommand_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_jobs_exits_one(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(4, 4), "sigma2": 0.5,
-                                             "alpha": 2.0, "beta": [0.2]})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 1
-    assert "--jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [["fit", "--jobs", "2"], ["simulate", "--sqrt-display"]])
+@pytest.mark.parametrize("argv", [["simulate", "--jobs", "2"], ["simulate", "--sqrt-display"]])
 def test_options_only_on_their_subcommand(tmp_path, capsys, argv):
     cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(4, 4)})
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1

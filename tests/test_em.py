@@ -9,11 +9,12 @@ from oracles import dense_gls, dense_q_tilde, dense_sigma_inv
 from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
                   FitConfig, GridSpec, NumericalError, ProbePairs, SimScenario,
                   SpectralField, Theta, amplitude_for_variance, fit, flatten,
-                  make_probes, q_tilde, quasi_matern_spectrum, sample_gp,
-                  sigma_inv_matvec, simulate_dataset, trace_term, unflatten,
-                  update_beta, update_eta)
+                  make_probes, power_spectrum, probe_spectrum, q_tilde,
+                  quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
+                  simulate_dataset, trace_term, unflatten, update_beta,
+                  update_eta)
 from slem import em
-from slem.em import _em_stage, power_spectrum, profiled_q
+from slem.em import _em_stage, profiled_q
 
 GRID6 = GridSpec.unit(6, 6)
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
@@ -30,8 +31,17 @@ def em_instance(eta_t, seed=0, M=3, p=2):
     return W, X, c, probes
 
 
+def spectrum(r, probes, grid):
+    """P for residual r and probe pairs (None: no trace part)."""
+    return power_spectrum(r, grid, 0.0 if probes is None else probe_spectrum(probes, grid))
+
+
+def q_at(eta, r, probes, grid):
+    return q_tilde(spectrum(r, probes, grid), quasi_matern_spectrum(eta, grid), grid)
+
+
 def profiled_sigma2(r, alpha, probes, grid):
-    return profiled_q(power_spectrum(r, probes, grid), alpha, grid)[1]
+    return profiled_q(spectrum(r, probes, grid), alpha, grid)[1]
 
 
 def dense_trace_value(eta_cand, probes, grid):
@@ -49,7 +59,7 @@ def test_q_tilde_white_noise_closed_form():
     rng = np.random.default_rng(0)
     W = rng.standard_normal(GRID6.n)
     for s2 in (0.5, 1.0, 3.7):
-        got = q_tilde(Theta(np.zeros(0), CovParams(s2, 0.0)), W, None, None, GRID6)
+        got = q_at(CovParams(s2, 0.0), W, None, GRID6)
         want = -0.5 * (GRID6.n * np.log(s2) + W @ W / s2)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -62,7 +72,7 @@ def test_q_tilde_matches_dense(eta_t):
     r = W - X @ beta
     tr_val = dense_trace_value(theta.eta, probes, GRID6)
     want = dense_q_tilde(theta.eta.sigma2, theta.eta.alpha, r, tr_val, GRID6)
-    got = q_tilde(theta, W, X, probes, GRID6)
+    got = q_at(theta.eta, r, probes, GRID6)
     np.testing.assert_allclose(got, want, rtol=1e-8)
 
 
@@ -82,7 +92,7 @@ def test_power_spectrum_matches_matvec_and_trace_term(shape, M, seed):
     if M:
         v = rng.choice([-1.0, 1.0], size=(M, grid.n))
         probes = ProbePairs(v, rng.standard_normal((M, grid.n)), np.ones(M, dtype=bool))
-    got = float(np.sum(power_spectrum(r, probes, grid) / f.values)) / grid.n
+    got = float(np.sum(spectrum(r, probes, grid) / f.values)) / grid.n
     quad = float(r @ sigma_inv_matvec(f, r))
     tr = trace_term(f, probes) if probes is not None else 0.0
     # random u can cancel the quadratic part, so scale by the terms' magnitudes
@@ -94,17 +104,13 @@ def test_power_spectrum_matches_matvec_and_trace_term(shape, M, seed):
 def test_power_spectrum_rejects_bad_input():
     r = np.ones(GRID6.n)
     with pytest.raises(ConfigError):
-        power_spectrum(r[:-1], None, GRID6)
+        power_spectrum(r[:-1], GRID6, 0.0)
+    with pytest.raises(ConfigError):
+        short = np.ones((1, GRID6.n - 1))
+        probe_spectrum(ProbePairs(short, short, np.ones(1, dtype=bool)), GRID6)
     r[3] = np.nan
     with pytest.raises(NumericalError):
-        power_spectrum(r, None, GRID6)
-
-
-def test_q_tilde_accepts_precomputed_spectrum():
-    W, X, c, probes = em_instance(PARAM_SETS[0], seed=2)
-    theta = Theta(np.array([0.1, 0.2, -0.3]), CovParams(1.1, 1.7))
-    f = quasi_matern_spectrum(theta.eta, GRID6)
-    assert q_tilde(theta, W, X, probes, GRID6) == q_tilde(theta, W, X, probes, GRID6, f=f)
+        power_spectrum(r, GRID6, 0.0)
 
 
 def test_theta_vector_layout():
@@ -204,21 +210,21 @@ def test_profiled_sigma2_is_stationary_point():
     alpha = 2.3
     s2 = profiled_sigma2(W, alpha, probes, GRID6)
 
-    def q_at(s):
-        return q_tilde(Theta(np.zeros(0), CovParams(s, alpha)), W, None, probes, GRID6)
+    def q_of(s):
+        return q_at(CovParams(s, alpha), W, probes, GRID6)
 
-    q_star = q_at(s2)
-    assert q_at(s2 * (1 + 1e-4)) <= q_star
-    assert q_at(s2 * (1 - 1e-4)) <= q_star
+    q_star = q_of(s2)
+    assert q_of(s2 * (1 + 1e-4)) <= q_star
+    assert q_of(s2 * (1 - 1e-4)) <= q_star
     # the profiled objective is q_tilde there, constants included
-    q_prof = profiled_q(power_spectrum(W, probes, GRID6), alpha, GRID6)[0]
+    q_prof = profiled_q(spectrum(W, probes, GRID6), alpha, GRID6)[0]
     np.testing.assert_allclose(q_prof, q_star, rtol=1e-12)
 
 
 def test_update_eta_dominates_2d_grid_search():
     W, X, c, probes = em_instance(PARAM_SETS[0], seed=11, M=3)
     bounds = (1e-2, 6.0)
-    eta_hat = update_eta(W, probes, GRID6, bounds)
+    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, bounds)
 
     alphas = np.geomspace(bounds[0], bounds[1], 40)
     sigmas = np.geomspace(0.05, 100.0, 49)
@@ -233,7 +239,7 @@ def test_update_eta_dominates_2d_grid_search():
 
     k_star, j_star = np.unravel_index(np.argmax(q_grid), q_grid.shape)
     assert 0 < k_star < sigmas.size - 1  # grid brackets the optimum
-    q_hat = q_tilde(Theta(np.zeros(0), eta_hat), W, None, probes, GRID6)
+    q_hat = q_at(eta_hat, W, probes, GRID6)
     assert q_hat >= q_grid[k_star, j_star] - 1e-9 * (1 + abs(q_hat))
     log_step_a = np.log(alphas[1] / alphas[0])
     log_step_s = np.log(sigmas[1] / sigmas[0])
@@ -244,16 +250,17 @@ def test_update_eta_dominates_2d_grid_search():
 def test_update_eta_never_loses_to_incumbent():
     W, X, c, probes = em_instance(PARAM_SETS[1], seed=12)
     incumbent = CovParams(0.37, 2.2)
-    eta_hat = update_eta(W, probes, GRID6, (1e-2, 6.0), incumbent=incumbent)
-    q_new = q_tilde(Theta(np.zeros(0), eta_hat), W, None, probes, GRID6)
-    q_inc = q_tilde(Theta(np.zeros(0), incumbent), W, None, probes, GRID6)
+    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, (1e-2, 6.0), incumbent=incumbent)
+    q_new = q_at(eta_hat, W, probes, GRID6)
+    q_inc = q_at(incumbent, W, probes, GRID6)
     assert q_new >= q_inc - 1e-9 * (1 + abs(q_inc))
 
 
 def test_update_eta_records_bound_hits():
     W, _, _, probes = em_instance(PARAM_SETS[0], seed=13)
     diagnostics = {}
-    eta_hat = update_eta(W, probes, GRID6, (6.0, 6.01), diagnostics=diagnostics)
+    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, (6.0, 6.01),
+                         diagnostics=diagnostics)
     assert 6.0 <= eta_hat.alpha <= 6.01
     assert diagnostics["alpha_bound_hits"] >= 1
 
@@ -262,7 +269,7 @@ def test_update_eta_records_bound_hits():
 def test_update_eta_rejects_bad_bounds(bounds):
     W, _, _, probes = em_instance(PARAM_SETS[0], seed=14)
     with pytest.raises(ConfigError):
-        update_eta(W, probes, GRID6, bounds)
+        update_eta(spectrum(W, probes, GRID6), GRID6, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def test_fixed_scheme_freezes_beta_after_first_iteration():
     out = []
     for max_em in (1, 6):
         cfg = FitConfig(max_em=max_em, scheme="fixed", seed=0)
-        beta, *_ = _em_stage(Y, X, grid, cfg, eta0, None, "fixed", (1e-2, 8.0), {})
+        beta, *_ = _em_stage(Y, X, grid, cfg, eta0, None, {})
         out.append(beta)
     np.testing.assert_array_equal(out[0], out[1])
 
@@ -347,6 +354,26 @@ def test_m_step_that_lowers_q_raises(monkeypatch):
     monkeypatch.setattr(em, "update_beta", lambda W, X, f: np.full(X.shape[1], 50.0))
     with pytest.raises(NumericalError, match="lowered the surrogate"):
         fit(Y, X, grid, FitConfig(max_em=2, scheme="fixed", seed=0))
+
+
+def test_probes_are_transformed_once_per_em_iteration(monkeypatch):
+    # the probe pairs are fixed within an EM iteration, so pricing the beta
+    # and eta candidates must not transform them again
+    Y, X, grid = small_dataset(seed=8)
+    fft2 = np.fft.fft2
+    probe_ffts = []
+
+    def counting_fft2(a, *args, **kwargs):
+        slices = np.asarray(a).reshape(-1, grid.n1, grid.n2)
+        if any(np.all(np.abs(s) == 1.0) for s in slices):  # Rademacher probes
+            probe_ffts.append(slices.shape[0])
+        return fft2(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+    res = fit(Y, X, grid, FitConfig(M=1, max_em=3, seed=0))
+    iterations = res.diagnostics["stage1_iterations"] + res.em_iterations
+    assert iterations == 6
+    assert probe_ffts == [1] * iterations
 
 
 def test_fit_recovers_strong_slope():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_posterior_precision
+from oracles import dense_local_variance, dense_posterior_precision
 from slem import (ConfigError, CovParams, GridSpec, NumericalError,
                   estimate_intensity, intensity_mean, inverse_base_row,
                   local_variance, quasi_matern_spectrum, recover_z)
@@ -61,6 +61,14 @@ def test_local_variance_full_neighborhood_is_exact():
     grid, f, psi = posterior_instance(7, 7, seed=2)
     got = local_variance(f, psi, k=7)
     np.testing.assert_allclose(got, dense_diag_inv(f, psi), rtol=1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_local_variance_matches_dense_block_inverse(k):
+    # a non-square grid wraps each neighborhood differently along the two axes
+    grid, f, psi = posterior_instance(9, 7, seed=5)
+    np.testing.assert_allclose(local_variance(f, psi, k=k), dense_local_variance(f, psi, k),
+                               rtol=1e-10)
 
 
 def test_local_variance_tight_prior_is_tiny():

@@ -103,6 +103,4 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0), replicates=0)
     with pytest.raises(ConfigError):
-        SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0), covariate_source="rasters")
-    with pytest.raises(ConfigError):
         simulate_dataset(SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0)), 1)
