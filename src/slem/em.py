@@ -13,7 +13,9 @@ frequencies of a power spectrum P(omega) of the residual and the probe pairs,
 divided by the candidate spectrum.  Each EM iteration transforms the probe
 pairs once and the residual once per beta it prices (the incumbent and, when
 the beta step runs, the GLS candidate); q_tilde and the range search then
-price every candidate eta from P without an FFT.
+price every candidate eta from P without an FFT.  For the quasi-Matern shape
+the sum over P is a quartic in alpha whose three coefficients are moments of
+P, so each range candidate costs one O(n) log sum.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so the recorded objective trace is monotone by
@@ -30,8 +32,8 @@ from scipy import linalg as sla
 from .errors import CollinearityError, ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, unflatten
 from .laplace import newton_mode
-from .spectral import (CovParams, SpectralField, log_det, quasi_matern_shape,
-                       quasi_matern_spectrum, sigma_inv_matvec)
+from .spectral import (CovParams, SpectralField, frequency_sines, log_det,
+                       quasi_matern_shape, quasi_matern_spectrum, sigma_inv_matvec)
 from .trace import ProbePairs, make_probes
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
@@ -182,28 +184,55 @@ def profiled_q(P, alpha: float, grid: GridSpec) -> tuple[float, float]:
 
     With f = sigma2 g_alpha, Q = -1/2 [n log sigma2 + sum log g_alpha
     + S / sigma2] where S = (1/n) sum P / g_alpha, so sigma2 = S / n (floored).
+    This is the direct form; update_eta prices candidates with quartic_profile,
+    which tests compare against it.
     """
     g = quasi_matern_shape(alpha, grid)
     S = float(np.sum(P / g)) / grid.n
-    s2 = max(S / grid.n, SIGMA2_FLOOR)
-    return -0.5 * (grid.n * np.log(s2) + float(np.sum(np.log(g))) + S / s2), s2
+    return _profiled(S, float(np.sum(np.log(g))), grid.n)
+
+
+def quartic_profile(P, grid: GridSpec):
+    """alpha -> profiled_q(P, alpha, grid), with the sum over P priced in O(1).
+
+    1/g_alpha = (1 + alpha^2 s)^2 with s from frequency_sines, so
+    sum P / g_alpha = A + 2 alpha^2 B + alpha^4 C for the moments A = sum P,
+    B = sum P s and C = sum P s^2, taken once; only sum log g_alpha =
+    -2 sum log1p(alpha^2 s) stays O(n) per candidate.
+    """
+    s = frequency_sines(grid)
+    Ps = P * s
+    A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
+
+    def price(alpha):
+        a2 = alpha * alpha
+        S = (A + 2.0 * a2 * B + a2 * a2 * C) / grid.n
+        return _profiled(S, -2.0 * float(np.sum(np.log1p(a2 * s))), grid.n)
+
+    return price
+
+
+def _profiled(S, log_det_g, n):
+    s2 = max(S / n, SIGMA2_FLOOR)
+    return -0.5 * (n * np.log(s2) + log_det_g + S / s2), s2
 
 
 def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
                diagnostics=None) -> CovParams:
-    """Profiled 1-D maximization over alpha for the power spectrum P: coarse
-    log-grid scan, then golden-section to 1e-4 relative width, then a
-    keep-the-better comparison with the incumbent range so the step never
-    loses ground."""
+    """Profiled 1-D maximization over alpha for the power spectrum P, each
+    candidate priced by quartic_profile: coarse log-grid scan, then
+    golden-section to 1e-4 relative width, then a keep-the-better comparison
+    with the incumbent range so the step never loses ground."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi, got {bounds}")
 
+    price = quartic_profile(P, grid)
     cache = {}
 
     def phi(a):
         if a not in cache:
-            cache[a] = profiled_q(P, a, grid)
+            cache[a] = price(a)
         return cache[a][0]
 
     coarse = np.geomspace(lo, hi, 25)

@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import CountGrid
 from .pcg import SpdOperator, pcg_solve
-from .spectral import SpectralField, inverse_base_row, sigma_inv_matvec
+from .spectral import (SpectralField, _apply_spectrum, inverse_base_row,
+                       sigma_inv_matvec)
 
 EXP_CLAMP = 50.0  # exp argument cap; anything above is already astronomical
 
@@ -32,12 +33,31 @@ class LaplaceFit:
 
 
 def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
-    """Matrix-free Sigma^{-1} + diag(c); the diagonal of Sigma^{-1} is its
-    lag-zero entry, constant across pixels."""
+    """Matrix-free Sigma^{-1} + diag(c) with a diagonally scaled circulant
+    preconditioner.
+
+    With s0 the lag-zero entry of Sigma^{-1} (its constant diagonal), c_bar =
+    mean(c) and S = sqrt((s0 + c_bar) / (s0 + c)),
+
+        M^{-1} r = S . iDFT((1/f + c_bar)^{-1} . DFT(S . r)).
+
+    The circulant middle inverts Sigma^{-1} + c_bar I exactly and the scaling
+    moves each pixel's diagonal from s0 + c_bar to s0 + c_i, so M^{-1} is the
+    exact inverse when c is constant and reduces to Jacobi, r / (s0 + c), when
+    Sigma^{-1} is diagonal (a flat spectrum).
+    """
+    c_diag = np.asarray(c_diag, dtype=float)
+    if c_diag.shape != (f.n,):
+        raise ConfigError(f"curvature shape {c_diag.shape} does not match grid size {f.n}")
+    if not np.all(np.isfinite(c_diag)) or np.any(c_diag < 0):
+        raise NumericalError("curvature entries must be finite and non-negative")
     inv0 = inverse_base_row(f)[0]
+    c_bar = float(np.mean(c_diag))
+    scale = np.sqrt((inv0 + c_bar) / (inv0 + c_diag))
+    middle = 1.0 / (1.0 / f.values + c_bar)
     return SpdOperator(
         apply=lambda v: sigma_inv_matvec(f, v) + c_diag * v,
-        diag=inv0 + c_diag,
+        precondition=lambda r: scale * _apply_spectrum(middle, scale * r),
     )
 
 

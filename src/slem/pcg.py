@@ -1,8 +1,11 @@
-"""Jacobi-preconditioned conjugate gradients with a residual-change stop.
+"""Preconditioned conjugate gradients with a residual-change stop.
 
-The stopping rule is sqrt(mean((r_{k+1} - r_k)^2)) <= epsilon, checked from
-the first full iteration onward; an exact-solution guard (||r|| <= 1e-12
-||b||) catches systems solved in fewer steps than the change rule can see.
+The operator supplies its own preconditioner M^{-1} as a callable; for the
+posterior precision that is laplace.precision_operator's diagonally scaled
+circulant inverse.  The stopping rule is sqrt(mean((r_{k+1} - r_k)^2)) <=
+epsilon, checked from the first full iteration onward; an exact-solution
+guard (||r|| <= 1e-12 ||b||) catches systems solved in fewer steps than the
+change rule can see.
 """
 from __future__ import annotations
 
@@ -17,10 +20,11 @@ from .errors import ConfigError, NumericalError
 
 @dataclass(frozen=True)
 class SpdOperator:
-    """Matrix-free SPD operator: apply(v) = Av, diag = diagonal of A."""
+    """Matrix-free SPD operator: apply(v) = Av, precondition(r) = M^{-1} r for
+    an SPD approximation M of A."""
 
     apply: Callable[[np.ndarray], np.ndarray]
-    diag: np.ndarray
+    precondition: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -35,6 +39,14 @@ def default_max_iter(n: int) -> int:
     return min(2000, max(1, math.ceil(10.0 * math.sqrt(n))))
 
 
+def _preconditioned_norm2(r, z) -> float:
+    """r' M^{-1} r, which an SPD preconditioner keeps positive for r != 0."""
+    rz = float(r @ z)
+    if not math.isfinite(rz) or rz < 0.0 or (rz == 0.0 and np.any(r)):
+        raise NumericalError(f"preconditioner not SPD: r'M^-1 r = {rz}")
+    return rz
+
+
 def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
               max_iter: int | None = None) -> PcgResult:
     b = np.asarray(b, dtype=float)
@@ -43,11 +55,6 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if max_iter is not None and max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    diag = np.asarray(op.diag, dtype=float)
-    if diag.size != n:
-        raise ConfigError(f"operator diagonal length {diag.size} != rhs length {n}")
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        raise NumericalError("operator diagonal must be strictly positive")
     if max_iter is None:
         max_iter = default_max_iter(n)
 
@@ -57,9 +64,11 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
     if np.linalg.norm(r) <= 1e-12 * bnorm or bnorm == 0.0:
         return PcgResult(x, 0, True)
 
-    z = r / diag
+    z = np.asarray(op.precondition(r), dtype=float)
+    if z.shape != r.shape:
+        raise ConfigError(f"preconditioned residual shape {z.shape} != rhs shape {r.shape}")
+    rz = _preconditioned_norm2(r, z)
     p = z.copy()
-    rz = float(r @ z)
     result = PcgResult(x, 0, False, [math.sqrt(rz)])
     best_rnorm = np.linalg.norm(r)
     best_x = x.copy()
@@ -76,9 +85,9 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
             raise NumericalError(f"PCG iterate contains non-finite values at iteration {k}")
         change_rms = abs(alpha) * np.linalg.norm(Ap) / sqrt_n  # = ||r_{k+1} - r_k|| / sqrt(n)
         r = r - alpha * Ap
-        z = r / diag
-        rz_new = float(r @ z)
-        result.resid_norms.append(math.sqrt(max(rz_new, 0.0)))
+        z = op.precondition(r)
+        rz_new = _preconditioned_norm2(r, z)
+        result.resid_norms.append(math.sqrt(rz_new))
         rnorm = np.linalg.norm(r)
         if rnorm < best_rnorm:
             best_rnorm = rnorm

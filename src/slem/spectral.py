@@ -66,11 +66,16 @@ class SpectralField:
         return self.values.size
 
 
-def quasi_matern_shape(alpha: float, grid: GridSpec) -> np.ndarray:
-    """Unit-variance spectrum shape (1 + alpha^2 sin^2(w1/2) + alpha^2 sin^2(w2/2))^-2."""
+def frequency_sines(grid: GridSpec) -> np.ndarray:
+    """s(omega) = sin^2(w1/2) + sin^2(w2/2) on the n1 x n2 frequency grid."""
     s1 = np.sin(np.pi * np.arange(grid.n1) / grid.n1) ** 2
     s2 = np.sin(np.pi * np.arange(grid.n2) / grid.n2) ** 2
-    return (1.0 + alpha**2 * (s1[:, None] + s2[None, :])) ** -2.0
+    return s1[:, None] + s2[None, :]
+
+
+def quasi_matern_shape(alpha: float, grid: GridSpec) -> np.ndarray:
+    """Unit-variance spectrum shape (1 + alpha^2 s(omega))^-2, s from frequency_sines."""
+    return (1.0 + alpha**2 * frequency_sines(grid)) ** -2.0
 
 
 def quasi_matern_spectrum(eta: CovParams, grid: GridSpec) -> SpectralField:

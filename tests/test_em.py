@@ -14,7 +14,7 @@ from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
                   simulate_dataset, trace_term, unflatten, update_beta,
                   update_eta)
 from slem import em
-from slem.em import _em_stage, profiled_q
+from slem.em import _em_stage, profiled_q, quartic_profile
 
 GRID6 = GridSpec.unit(6, 6)
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
@@ -219,6 +219,21 @@ def test_profiled_sigma2_is_stationary_point():
     # the profiled objective is q_tilde there, constants included
     q_prof = profiled_q(spectrum(W, probes, GRID6), alpha, GRID6)[0]
     np.testing.assert_allclose(q_prof, q_star, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n1,n2", [(6, 6), (9, 7)])
+def test_quartic_profile_matches_profiled_q(n1, n2):
+    grid = GridSpec.unit(n1, n2)
+    rng = np.random.default_rng(15)
+    f_t = quasi_matern_spectrum(CovParams(1.5, 3.0), grid)
+    probes = make_probes(2, grid.n, 15, f_t, 0.2 + rng.random(grid.n), eps_pcg=1e-10)
+    P = spectrum(sample_gp(f_t, 15), probes, grid)
+    price = quartic_profile(P, grid)
+    for alpha in (0.0, 1e-2, 0.5, 2.3, 5.0, 29.9, 70.0):
+        q_direct, s2_direct = profiled_q(P, alpha, grid)
+        q, s2 = price(alpha)
+        np.testing.assert_allclose(q, q_direct, rtol=1e-12)
+        np.testing.assert_allclose(s2, s2_direct, rtol=1e-12)
 
 
 def test_update_eta_dominates_2d_grid_search():
