@@ -21,7 +21,7 @@ from .em import FitConfig, fit
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, bin_points, domain_mask, flatten, split_train_test, unflatten
 from .posterior import estimate_intensity
-from .scoring import DEFAULT_SCALE, ScoreReport, log_score, rmse_log_intensity
+from .scoring import ScoreReport, log_score, rmse_log_intensity
 from .simulation import SimScenario, scatter_points, scenario_design, simulate_dataset
 from .spectral import (CovParams, amplitude_for_variance,
                        calibrate_range_to_matern, quasi_matern_spectrum)
@@ -32,16 +32,23 @@ from .spectral import (CovParams, amplitude_for_variance,
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path) -> dict:
+def _read(reader, path, *args):
+    """reader(path, *args), with a file that cannot be read reported as a
+    config error rather than a traceback."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        return reader(path, *args)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_config(path) -> dict:
+    with _read(open, path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{path} must be a JSON object")
     return doc
 
 
@@ -69,6 +76,8 @@ def _grid_to_doc(grid: GridSpec) -> dict:
 
 
 def _fit_config_from_doc(doc, seed_override=None) -> FitConfig:
+    if not isinstance(doc or {}, dict):
+        raise ConfigError("fit must be an object")
     doc = dict(doc or {})
     if seed_override is not None:
         doc["seed"] = seed_override
@@ -81,20 +90,32 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _read_raster(path, grid: GridSpec) -> np.ndarray:
+    vals = _read(slemio.read_raster_csv, path)
+    if vals.shape != (grid.n1, grid.n2):
+        raise ConfigError(f"{path}: raster is {vals.shape[0]}x{vals.shape[1]}, "
+                          f"grid is {grid.n1}x{grid.n2}")
+    return vals
+
+
 def _read_counts(path, grid: GridSpec) -> CountGrid:
-    vals = slemio.read_raster_csv(path)
+    vals = _read_raster(path, grid)
     if np.any(~np.isfinite(vals)):
         raise ConfigError(f"{path}: counts raster contains missing values")
     return CountGrid(vals.astype(np.int64), grid)
 
 
-def _read_design(path, grid: GridSpec):
-    X, names = slemio.read_matrix_csv(path)
+def _read_design(doc, grid: GridSpec):
+    """The design named by a config's covariates_csv, or None if it names none."""
+    path = doc.get("covariates_csv")
+    if not path:
+        return None
+    X, _ = _read(slemio.read_matrix_csv, path)
     if X.shape[0] != grid.n:
         raise ConfigError(f"{path}: design has {X.shape[0]} rows, grid needs {grid.n}")
     if np.any(~np.isfinite(X)):
         raise ConfigError(f"{path}: design matrix contains missing values")
-    return X, names
+    return X
 
 
 def _raster_from_vector(vec, grid: GridSpec) -> np.ndarray:
@@ -110,7 +131,7 @@ def cmd_grid(args) -> int:
     doc = _load_config(args.config)
     _check_keys(doc, ("points_csv", "grid"), ("points_csv", "grid"), "grid config")
     grid = _grid_from_doc(doc["grid"])
-    pattern = slemio.read_points_csv(doc["points_csv"])
+    pattern = _read(slemio.read_points_csv, doc["points_csv"])
     inside = int(domain_mask(pattern, grid).sum())
     counts = bin_points(pattern, grid)
     out = os.path.join(args.out, "counts.csv")
@@ -174,21 +195,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_fit(doc, grid, args):
-    Y = _read_counts(doc["counts_csv"], grid)
-    X = None
-    if doc.get("covariates_csv"):
-        X, _ = _read_design(doc["covariates_csv"], grid)
-    config = _fit_config_from_doc(doc.get("fit"), seed_override=args.seed)
-    return Y, X, config, fit(Y, X, grid, config)
-
-
 def cmd_fit(args) -> int:
     doc = _load_config(args.config)
     _check_keys(doc, ("grid", "counts_csv", "covariates_csv", "fit"),
                 ("grid", "counts_csv"), "fit config")
     grid = _grid_from_doc(doc["grid"])
-    _, _, config, result = _run_fit(doc, grid, args)
+    Y = _read_counts(doc["counts_csv"], grid)
+    X = _read_design(doc, grid)
+    result = fit(Y, X, grid, _fit_config_from_doc(doc.get("fit"), seed_override=args.seed))
 
     theta = {"beta": [float(b) for b in result.theta_star.beta],
              "sigma2": result.theta_star.eta.sigma2,
@@ -204,8 +218,7 @@ def cmd_fit(args) -> int:
         fh.write("iteration,q_incumbent,q_updated\n")
         for i, (qi, qu) in enumerate(result.objective_trace):
             fh.write(f"{i},{slemio._fmt(qi)},{slemio._fmt(qu)}\n")
-    _write_json(os.path.join(args.out, "diagnostics.json"),
-                _jsonable(result.diagnostics))
+    _write_json(os.path.join(args.out, "diagnostics.json"), result.diagnostics)
     runtime = result.diagnostics.get("runtime_seconds", float("nan"))
     print(f"fit finished in {result.em_iterations} EM iteration(s), "
           f"converged={str(result.converged).lower()}, {runtime:.2f}s -> {args.out}")
@@ -218,17 +231,13 @@ def cmd_predict(args) -> int:
     _check_keys(doc, ("grid", "theta_json", "w_star_csv", "covariates_csv", "k"),
                 ("grid", "theta_json", "w_star_csv"), "predict config")
     grid = _grid_from_doc(doc["grid"])
-    with open(doc["theta_json"]) as fh:
-        theta = json.load(fh)
+    theta = _load_config(doc["theta_json"])
+    _check_keys(theta, ("beta", "sigma2", "alpha", "converged", "em_iterations"),
+                ("sigma2", "alpha"), doc["theta_json"])
     beta = np.asarray(theta.get("beta", []), dtype=float)
     eta = CovParams(float(theta["sigma2"]), float(theta["alpha"]))
-    W_star = flatten(slemio.read_raster_csv(doc["w_star_csv"]))
-    X = None
-    if doc.get("covariates_csv"):
-        X, _ = _read_design(doc["covariates_csv"], grid)
-    if (X is None) != (beta.size == 0):
-        raise ConfigError("covariates_csv and theta beta must be present together")
-
+    W_star = flatten(_read_raster(doc["w_star_csv"], grid))
+    X = _read_design(doc, grid)  # estimate_intensity checks it against beta
     est = estimate_intensity(W_star, X, beta, quasi_matern_spectrum(eta, grid),
                              grid.delta(), k=int(doc.get("k", 5)))
     slemio.write_raster_csv(os.path.join(args.out, "local_var.csv"),
@@ -252,20 +261,18 @@ def cmd_predict(args) -> int:
 def cmd_score(args) -> int:
     doc = _load_config(args.config)
     _check_keys(doc, ("grid", "points_csv", "covariates_csv", "fit", "train_fraction",
-                      "scale", "k", "split_seed", "plugin_intensity", "log_lambda_true_csv"),
+                      "k", "split_seed", "plugin_intensity", "log_lambda_true_csv"),
                 ("grid", "points_csv"), "score config")
     grid = _grid_from_doc(doc["grid"])
     t0 = time.perf_counter()
-    pattern = slemio.read_points_csv(doc["points_csv"])
+    pattern = _read(slemio.read_points_csv, doc["points_csv"])
     split_seed = args.seed if args.seed is not None else int(doc.get("split_seed", 0))
     train_pts, test_pts = split_train_test(pattern, float(doc.get("train_fraction", 0.9)),
                                            seed=split_seed)
     Y_train = bin_points(train_pts, grid)
     Y_test = bin_points(test_pts, grid)
 
-    X = None
-    if doc.get("covariates_csv"):
-        X, _ = _read_design(doc["covariates_csv"], grid)
+    X = _read_design(doc, grid)
     config = _fit_config_from_doc(doc.get("fit"), seed_override=args.seed)
     result = fit(Y_train, X, grid, config)
 
@@ -276,12 +283,12 @@ def cmd_score(args) -> int:
         est = estimate_intensity(result.W_star, X, result.theta_star.beta, f_star,
                                  grid.delta(), k=int(doc.get("k", 5)))
         lam = est.intensity
-    scale = float(doc.get("scale", DEFAULT_SCALE))
-    ls = log_score(Y_test, lam, grid.delta(), scale=scale)
+    # the held-out points thin the intensity by the realised split ratio
+    ls = log_score(Y_test, lam, grid.delta(), scale=len(test_pts) / len(train_pts))
 
     rmse_full = rmse_interior = None
     if doc.get("log_lambda_true_csv"):
-        truth = flatten(slemio.read_raster_csv(doc["log_lambda_true_csv"]))
+        truth = flatten(_read_raster(doc["log_lambda_true_csv"], grid))
         rmse_full, rmse_interior = rmse_log_intensity(result.W_star, truth, grid)
     report = ScoreReport(ls, rmse_full, rmse_interior, time.perf_counter() - t0)
     _write_json(os.path.join(args.out, "score.json"), report.to_dict())
@@ -295,7 +302,7 @@ def cmd_covariates(args) -> int:
     _check_keys(doc, ("grid", "stack", "counts_csv", "extra_rasters"),
                 ("grid", "stack", "counts_csv"), "covariates config")
     grid = _grid_from_doc(doc["grid"])
-    stack = MinuteStack(slemio.read_minute_stack(doc["stack"], grid), grid)
+    stack = MinuteStack(_read(slemio.read_minute_stack, doc["stack"], grid), grid)
     Y = _read_counts(doc["counts_csv"], grid)
     delta = grid.delta()
 
@@ -312,7 +319,7 @@ def cmd_covariates(args) -> int:
     columns = [chosen["x1"][1], chosen["x2"][1]]
     names = [f"x1_{chosen['x1'][0]}", f"x2_{chosen['x2'][0]}"]
     for name, path in sorted((doc.get("extra_rasters") or {}).items()):
-        columns.append(slemio.read_raster_csv(path))
+        columns.append(_read(slemio.read_raster_csv, path))
         names.append(name)
     design = standardize(columns, grid, names=names)
     report["n_imputed"] = design.n_imputed
@@ -325,20 +332,6 @@ def cmd_covariates(args) -> int:
     print(f"selected {names[0]} and {names[1]}; design with "
           f"{design.X.shape[1]} columns -> {args.out}")
     return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ by single-covariate Poisson fits against the counts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -139,7 +139,7 @@ def _poisson_deviance(y, mu):
     return float(2.0 * np.sum(term - (y - mu)))
 
 
-def select_summary(Y, delta, candidates, names=None):
+def select_summary(Y, delta, candidates):
     """Pick the candidate raster with the best single-covariate Poisson fit.
 
     candidates: list of (n1, n2) rasters (NaN allowed; mean-imputed for the

@@ -51,6 +51,10 @@ class Theta:
         return np.concatenate([self.beta, [self.eta.sigma2, self.eta.alpha]])
 
 
+def _is_real(value):  # a Python or numpy int or float; not bool, str or complex
+    return np.issubdtype(type(value), np.integer) or np.issubdtype(type(value), np.floating)
+
+
 @dataclass
 class FitConfig:
     """Tuning knobs; field names double as the JSON schema for configs."""
@@ -66,20 +70,22 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("M", 1), ("max_em", 1), ("max_newton", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (np.issubdtype(type(value), np.integer) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("eps_em", "eps_newton", "eps_pcg"):
+            value = getattr(self, name)
+            if not (_is_real(value) and value > 0):
+                raise ConfigError(f"{name} must be a positive number, got {value!r}")
         if self.scheme not in ("joint", "fixed"):
             raise ConfigError(f"scheme must be 'joint' or 'fixed', got {self.scheme!r}")
-        if self.M < 1:
-            raise ConfigError(f"M must be >= 1, got {self.M}")
-        for name in ("eps_em", "eps_newton", "eps_pcg"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_em < 1 or self.max_newton < 1:
-            raise ConfigError("max_em and max_newton must be >= 1")
-        if self.alpha_bounds is not None:
-            lo, hi = self.alpha_bounds
-            if not (0 < lo < hi):
-                raise ConfigError(f"alpha_bounds must satisfy 0 < lo < hi, got {self.alpha_bounds}")
-            object.__setattr__(self, "alpha_bounds", (float(lo), float(hi)))
+        ab = self.alpha_bounds
+        if ab is not None:
+            if not (isinstance(ab, (list, tuple)) and len(ab) == 2
+                    and all(map(_is_real, ab)) and 0 < ab[0] < ab[1]):
+                raise ConfigError(f"alpha_bounds must be [lo, hi] with 0 < lo < hi, got {ab!r}")
+            self.alpha_bounds = (float(ab[0]), float(ab[1]))
 
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -93,13 +99,19 @@ class FitConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown fit config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        if doc.get("alpha_bounds") is not None:
-            ab = doc["alpha_bounds"]
-            if not (isinstance(ab, (list, tuple)) and len(ab) == 2):
-                raise ConfigError(f"alpha_bounds must be a 2-element list, got {ab!r}")
-            doc["alpha_bounds"] = tuple(float(v) for v in ab)
         return cls(**doc)
+
+
+def design_matrix(X, n: int, p: int | None = None) -> np.ndarray:
+    """X as an (n, p) float array, any p if p is None; None is the design
+    with no columns.  Every function that takes a design goes through here."""
+    if X is None:
+        X = np.zeros((n, 0))
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != n or (p is not None and X.shape[1] != p):
+        want = f"({n}, {'p+1' if p is None else p})"
+        raise ConfigError(f"design matrix must be {want}, got {X.shape}")
+    return X
 
 
 @dataclass
@@ -274,13 +286,12 @@ def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
 
 def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParams,
               W0, diagnostics: dict):
-    """One EM run; X may be None (covariance-only model).  Returns the state
-    at the last iteration plus the per-iteration objective pairs."""
+    """One EM run; an X with no columns is the covariance-only model.  Returns
+    the state at the last iteration plus the per-iteration objective pairs."""
     n = grid.n
     delta = grid.delta()
     bounds = config.alpha_bounds if config.alpha_bounds is not None else (1e-2, float(grid.n1))
-    p1 = X.shape[1] if X is not None else 0
-    beta = np.zeros(p1)
+    beta = np.zeros(X.shape[1])
     eta = eta0
     f = quasi_matern_spectrum(eta, grid)
     W = np.zeros(n) if W0 is None else np.asarray(W0, dtype=float).copy()
@@ -290,7 +301,7 @@ def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParam
 
     for t in range(config.max_em):
         iterations = t + 1
-        Xbeta = X @ beta if X is not None else np.zeros(n)
+        Xbeta = X @ beta
         lap = newton_mode(Y, delta, Xbeta, f, W_init=W, epsilon=config.eps_newton,
                           max_newton=config.max_newton, eps_pcg=config.eps_pcg,
                           diagnostics=diagnostics)
@@ -309,7 +320,7 @@ def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParam
         # beta step (GLS); joint updates every iteration, fixed only at t = 0
         # and then keeps that beta whatever Q says
         beta_new, q_mid = beta, q_inc
-        if X is not None and (config.scheme == "joint" or t == 0):
+        if X.shape[1] > 0 and (config.scheme == "joint" or t == 0):
             beta_cand = update_beta(W, X, f)
             P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
             q_cand = q_tilde(P_cand, f, grid)
@@ -345,15 +356,11 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     """Two-stage fit: a predictor-free warm start for the covariance, then the
     full model from beta = 0 at the warmed-up eta.
 
-    X is an n x (p+1) design with intercept first, or None for a
-    covariance-only model (then the warm start *is* the fit).
+    X is an n x (p+1) design with intercept first, or None (equivalently, an
+    (n, 0) array) for a covariance-only model; then the warm start *is* the
+    fit.
     """
-    if X is not None:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[0] != grid.n:
-            raise ConfigError(f"design matrix must be ({grid.n}, p+1), got {X.shape}")
-        if X.shape[1] == 0:
-            X = None
+    X = design_matrix(X, grid.n)
     y = Y.vector()
     diagnostics = {}
     t0 = time.perf_counter()
@@ -367,22 +374,19 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
         # unit prior variance so the intensity can still drift toward zero
         eta0 = CovParams(1.0, grid.n1 / 4.0)
         diagnostics["warmstart_sigma2_floored"] = True
-    _, eta_warm, W_warm, it1, conv1, rows1 = _em_stage(
-        Y, None, grid, config, eta0, None, diagnostics)
-    diagnostics["stage1_iterations"] = it1
-    diagnostics["stage1_converged"] = conv1
-    diagnostics["stage1_eta"] = [eta_warm.sigma2, eta_warm.alpha]
+    beta, eta, W_last, iterations, converged, rows = _em_stage(
+        Y, X[:, :0], grid, config, eta0, None, diagnostics)
+    diagnostics["stage1_iterations"] = iterations
+    diagnostics["stage1_converged"] = converged
+    diagnostics["stage1_eta"] = [eta.sigma2, eta.alpha]
 
-    if X is None:
-        beta, eta, it2, conv2, rows2 = np.zeros(0), eta_warm, it1, conv1, rows1
-        W_last = W_warm
-    else:
-        beta, eta, W_last, it2, conv2, rows2 = _em_stage(
-            Y, X, grid, config, eta_warm, W_warm, diagnostics)
+    if X.shape[1] > 0:
+        beta, eta, W_last, iterations, converged, rows = _em_stage(
+            Y, X, grid, config, eta, W_last, diagnostics)
 
     # refresh the mode at the final theta so W* matches theta*
     f_star = quasi_matern_spectrum(eta, grid)
-    Xbeta = X @ beta if X is not None else np.zeros(grid.n)
+    Xbeta = X @ beta
     lap = newton_mode(Y, grid.delta(), Xbeta, f_star, W_init=W_last,
                       epsilon=config.eps_newton, max_newton=config.max_newton,
                       eps_pcg=config.eps_pcg, diagnostics=diagnostics)
@@ -394,8 +398,8 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
         theta_star=Theta(beta, eta),
         W_star=W_star,
         Z_star=Z_star,
-        em_iterations=it2,
-        converged=conv2,
-        objective_trace=np.asarray(rows2, dtype=float).reshape(-1, 2),
+        em_iterations=iterations,
+        converged=converged,
+        objective_trace=np.asarray(rows, dtype=float).reshape(-1, 2),
         diagnostics=diagnostics,
     )

@@ -1,6 +1,6 @@
 """Regular lattice over a rectangular domain, and point-pattern binning.
 
-Every module flattens n1 x n2 fields the same way: the axis-1 index runs
+Every module flattens n1 x n2 fields the same way: i1 (numpy axis 0) runs
 fastest, so pixel (i1, i2) sits at vector position i1 + n1*i2.  Keeping a
 single convention is what lets the spatial and spectral code agree on which
 entry of a vector is which pixel.
@@ -15,7 +15,7 @@ from .errors import ConfigError
 
 
 def flatten(field):
-    """(n1, n2) array -> n-vector, axis-1 index fastest."""
+    """(n1, n2) array -> n-vector, i1 (numpy axis 0) fastest."""
     return np.asarray(field).reshape(-1, order="F")
 
 

@@ -2,8 +2,8 @@
 matrices, and minute-frame stacks.
 
 Rasters carry their shape in a `# n1=<int> n2=<int>` first line and then one
-CSV line per axis-1 row.  Floats are written with shortest round-trip repr,
-so files are reproducible bit for bit on a platform and parse back exactly.
+CSV line per i1 (numpy axis 0).  Floats use the shortest round-trip repr, so
+files are reproducible bit for bit on a platform and parse back exactly.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ N(W*, (Sigma^{-1} + C)^{-1}) with C = diag(Delta exp(W*)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class LaplaceFit:
     c_diag: np.ndarray         # Delta exp(W*), strictly positive
     newton_iterations: int
     converged: bool
-    diagnostics: dict = field(default_factory=dict)
 
 
 def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
@@ -126,4 +125,4 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
             converged = True
             break
 
-    return LaplaceFit(W, delta * clamped_exp(W), iterations, converged, diag)
+    return LaplaceFit(W, delta * clamped_exp(W), iterations, converged)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .em import design_matrix
 from .errors import ConfigError, NumericalError
 from .grid import GridSpec
 from .laplace import clamped_exp
@@ -30,9 +31,8 @@ class IntensityEstimate:
 def recover_z(W_star, X, beta_star) -> np.ndarray:
     """Z* = W* - X beta*; the change of variables is exact at the mode."""
     W_star = np.asarray(W_star, dtype=float)
-    if X is None or np.asarray(beta_star).size == 0:
-        return W_star.copy()
-    return W_star - np.asarray(X, dtype=float) @ np.asarray(beta_star, dtype=float)
+    beta_star = np.asarray(beta_star, dtype=float)
+    return W_star - design_matrix(X, W_star.size, beta_star.size) @ beta_star
 
 
 def _neighbor_indices(grid: GridSpec, k: int):
@@ -99,10 +99,9 @@ def intensity_mean(z_mode, local_var, X, beta_star) -> np.ndarray:
     lognormal correction."""
     z_mode = np.asarray(z_mode, dtype=float)
     lv = np.asarray(local_var, dtype=float)
+    beta_star = np.asarray(beta_star, dtype=float)
     latent = clamped_exp(z_mode + 0.5 * lv)
-    if X is None or np.asarray(beta_star).size == 0:
-        return latent
-    return clamped_exp(np.asarray(X, float) @ np.asarray(beta_star, float)) * latent
+    return clamped_exp(design_matrix(X, z_mode.size, beta_star.size) @ beta_star) * latent
 
 
 def estimate_intensity(W_star, X, beta_star, f_star: SpectralField, delta,

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigError
-from .grid import GridSpec, unflatten
+from .grid import GridSpec
 
 DEFAULT_SCALE = 1.0 / 9.0  # test fraction 0.1 over train fraction 0.9
 

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from slem import GridSpec, PointPattern, bin_points
+from slem import (FitConfig, GridSpec, PointPattern, bin_points, fit, log_score,
+                  split_train_test)
 from slem.cli import main
 from slem.covariates import SUMMARY_FNS
-from slem.io import (read_points_csv, read_raster_csv, write_matrix_csv,
+from slem.io import (read_matrix_csv, read_points_csv, read_raster_csv, write_matrix_csv,
                      write_minute_stack, write_points_csv, write_raster_csv)
 from slem.spectral import amplitude_for_variance, calibrate_range_to_matern
 
@@ -165,6 +166,8 @@ def test_fit_rejects_unknown_keys(tmp_path):
     assert code == 1
     code, _ = fit_dir(tmp_path, sim, fit_doc={"niter": 50})
     assert code == 1
+    code, _ = fit_dir(tmp_path, sim, fit_doc=["M", 2])
+    assert code == 1
 
 
 def test_fit_missing_required_key_exits_one(tmp_path):
@@ -225,6 +228,35 @@ def test_predict_requires_matching_design_and_beta(tmp_path):
     assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_predict_rejects_design_wider_than_beta(tmp_path, capsys):
+    sim = simulate_dir(tmp_path)
+    _, fit_out = fit_dir(tmp_path, sim)
+    X = read_matrix_csv(sim / "X.csv")[0]
+    write_matrix_csv(tmp_path / "X3.csv", np.column_stack([X, X[:, 1]]), ["intercept", "x1", "x2"])
+    cfg = write_config(tmp_path / "pred.json", {
+        "grid": grid_doc(8, 8), "theta_json": str(fit_out / "theta.json"),
+        "w_star_csv": str(fit_out / "W_star.csv"), "covariates_csv": str(tmp_path / "X3.csv"),
+    })
+    capsys.readouterr()
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: design matrix must be (64, 2)")
+
+
+@pytest.mark.parametrize("theta,w_shape,message", [
+    ({"beta": [], "sigma2": 1.0, "alpha": 2.0}, (8, 6), "raster is 8x6, grid is 8x8"),
+    ({"beta": [], "sigma2": 1.0}, (8, 8), "missing required keys ['alpha']"),
+], ids=["w_star_of_another_grid", "theta_without_alpha"])
+def test_predict_rejects_bad_fit_files(tmp_path, capsys, theta, w_shape, message):
+    write_config(tmp_path / "theta.json", theta)
+    write_raster_csv(tmp_path / "W.csv", np.zeros(w_shape))
+    cfg = write_config(tmp_path / "pred.json", {
+        "grid": grid_doc(8, 8), "theta_json": str(tmp_path / "theta.json"),
+        "w_star_csv": str(tmp_path / "W.csv"),
+    })
+    assert main(["predict", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -257,6 +289,39 @@ def test_score_plugin_intensity(tmp_path):
     assert json.loads((out / "score.json").read_text())["rmse_full"] is None
 
 
+def test_score_thins_by_the_realised_split(tmp_path):
+    # the held-out points are scored under the intensity thinned by
+    # test/train point counts of the split actually drawn, whatever the fraction
+    sim = simulate_dir(tmp_path)
+    fit_doc = {"max_em": 2, "seed": 0}
+    cfg = write_config(tmp_path / "score.json", {
+        "grid": grid_doc(8, 8), "points_csv": str(sim / "points_000.csv"),
+        "fit": fit_doc, "plugin_intensity": True, "train_fraction": 0.8, "split_seed": 3,
+    })
+    out = tmp_path / "score_out"
+    assert main(["score", "--config", cfg, "--out", str(out)]) == 0
+    got = json.loads((out / "score.json").read_text())["log_score"]
+
+    grid = GridSpec.unit(8, 8)
+    train, test = split_train_test(read_points_csv(sim / "points_000.csv"), 0.8, seed=3)
+    lam = np.exp(fit(bin_points(train, grid), None, grid, FitConfig(**fit_doc)).W_star)
+    scale = len(test) / len(train)
+    assert abs(scale - 0.25) < 0.05
+    assert got == log_score(bin_points(test, grid), lam, grid.delta(), scale=scale)
+    assert got != log_score(bin_points(test, grid), lam, grid.delta(), scale=1 / 9)
+
+
+def test_score_rejects_scale_key(tmp_path, capsys):
+    pts = PointPattern(np.random.default_rng(0).random((40, 2)) * 8.0)
+    write_points_csv(tmp_path / "pts.csv", pts)
+    cfg = write_config(tmp_path / "score.json", {
+        "grid": grid_doc(8, 8), "points_csv": str(tmp_path / "pts.csv"),
+        "fit": {"max_em": 1}, "scale": 0.25,
+    })
+    assert main(["score", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unknown keys ['scale']" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # covariates
 # ---------------------------------------------------------------------------
@@ -286,7 +351,6 @@ def test_covariates_pipeline(tmp_path):
     assert report["x2"]["chosen"] in SUMMARY_FNS
     assert set(report["x1"]["log_likelihood"]) == set(SUMMARY_FNS)
     assert report["n_imputed"] >= 1
-    from slem.io import read_matrix_csv
     X, names = read_matrix_csv(out / "X.csv")
     assert names[0] == "intercept" and names[-1] == "elev"
     assert X.shape == (36, 4)
@@ -310,7 +374,39 @@ def test_options_only_on_their_subcommand(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+MISSING_INPUTS = [("fit", "counts_csv"), ("fit", "covariates_csv"), ("predict", "theta_json"),
+                  ("predict", "w_star_csv"), ("predict", "covariates_csv"),
+                  ("score", "points_csv"), ("grid", "points_csv"), ("covariates", "stack"),
+                  ("covariates", "extra_rasters")]
+
+
+@pytest.mark.parametrize("command,key", MISSING_INPUTS)
+def test_missing_input_file_exits_one(tmp_path, capsys, command, key):
+    write_raster_csv(tmp_path / "counts.csv", np.zeros((8, 8), dtype=int))
+    write_config(tmp_path / "theta.json", {"beta": [], "sigma2": 1.0, "alpha": 2.0})
+    write_raster_csv(tmp_path / "W.csv", np.zeros((8, 8)))
+    write_minute_stack(tmp_path / "stack", np.ones((10, 8, 8)))
+    counts, stack = str(tmp_path / "counts.csv"), str(tmp_path / "stack")
+    theta, W = str(tmp_path / "theta.json"), str(tmp_path / "W.csv")
+    doc = {"grid": grid_doc(8, 8)}
+    doc.update({
+        "fit": {"counts_csv": counts},
+        "predict": {"theta_json": theta, "w_star_csv": W},
+        "score": {},
+        "grid": {},
+        "covariates": {"stack": stack, "counts_csv": counts},
+    }[command])
+    missing = str(tmp_path / "no_such_file.csv")
+    doc[key] = {"elev": missing} if key == "extra_rasters" else missing
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot read {missing}: ")
+
+
 def test_malformed_json_exits_one(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
+    assert main(["fit", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    p.write_bytes(b"\xff\xfe{}")
     assert main(["fit", "--config", str(p), "--out", str(tmp_path / "o")]) == 1

@@ -351,6 +351,19 @@ def test_fit_covariance_only_ignores_scheme():
     np.testing.assert_array_equal(ra.W_star, rb.W_star)
 
 
+def test_fit_without_design_equals_empty_design():
+    Y, _, grid = small_dataset(seed=5, beta=())
+    cfg = FitConfig(max_em=4, seed=0)
+    ra = fit(Y, None, grid, cfg)
+    rb = fit(Y, np.empty((grid.n, 0)), grid, cfg)
+    for a, b in ((ra.theta_star.vector(), rb.theta_star.vector()), (ra.W_star, rb.W_star),
+                 (ra.Z_star, rb.Z_star), (ra.objective_trace, rb.objective_trace)):
+        np.testing.assert_array_equal(a, b)
+    assert (ra.em_iterations, ra.converged) == (rb.em_iterations, rb.converged)
+    del ra.diagnostics["runtime_seconds"], rb.diagnostics["runtime_seconds"]
+    assert ra.diagnostics == rb.diagnostics
+
+
 def test_fixed_scheme_freezes_beta_after_first_iteration():
     Y, X, grid = small_dataset(seed=6)
     eta0 = CovParams(1.0, 2.0)
@@ -420,10 +433,20 @@ def test_fit_rejects_wrong_design_shape():
     {"max_newton": 0},
     {"alpha_bounds": (3.0, 2.0)},
     {"alpha_bounds": (0.0, 1.0)},
+    {"alpha_bounds": (1.0, 2.0, 3.0)},
+    {"alpha_bounds": 5},
+    {"M": "x"},
+    {"max_em": 2.5},
+    {"M": True},
+    {"seed": -1},
+    {"eps_pcg": "1e-3"},
+    {"alpha_bounds": ["1", "2"]},
 ])
 def test_fit_config_validation(kwargs):
     with pytest.raises(ConfigError):
         FitConfig(**kwargs)
+    with pytest.raises(ConfigError):
+        FitConfig.from_dict(kwargs)
 
 
 def test_fit_config_json_round_trip():

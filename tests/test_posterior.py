@@ -31,9 +31,18 @@ def test_recover_z_without_design_copies():
     assert W[0] == 0.0
 
 
-def test_recover_z_empty_beta_copies():
+@pytest.mark.parametrize("X,beta", [
+    (np.ones((4, 1)), np.zeros(0)),
+    (None, np.zeros(2)),
+    (np.ones((4, 3)), np.zeros(2)),
+    (np.ones((3, 2)), np.zeros(2)),
+], ids=["design_without_beta", "beta_without_design", "extra_column", "wrong_rows"])
+def test_design_must_match_beta(X, beta):
     W = np.arange(4.0)
-    np.testing.assert_array_equal(recover_z(W, np.ones((4, 1)), np.zeros(0)), W)
+    with pytest.raises(ConfigError):
+        recover_z(W, X, beta)
+    with pytest.raises(ConfigError):
+        intensity_mean(W, np.zeros(4), X, beta)
 
 
 def test_recover_z_subtracts_linear_predictor():
