@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as slemio
 from .covariates import MinuteStack, block_summaries, select_summary, standardize, summarize_blocks, SUMMARY_FNS
-from .em import FitConfig, fit
+from .em import FitConfig, config_number, fit
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, bin_points, domain_mask, flatten, split_train_test, unflatten
 from .posterior import estimate_intensity
@@ -61,13 +61,27 @@ def _check_keys(doc: dict, allowed, required, where):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
 
 
+def _number(doc: dict, key, where, integer=False, least=None, default=None):
+    """doc[key], or default when it is absent, read by FitConfig's rules
+    (em.config_number); every numeric config scalar goes through here."""
+    return config_number(f"{where}: {key}", doc.get(key, default), integer, least)
+
+
+def _numbers(doc: dict, key, where, default=None) -> np.ndarray:
+    """doc[key], or default when it is absent, as a list of numbers."""
+    values = doc.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: {key} must be a list of numbers, got {values!r}")
+    return np.array([config_number(f"{where}: {key}[{i}]", v) for i, v in enumerate(values)])
+
+
 def _grid_from_doc(doc, where="grid") -> GridSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
     _check_keys(doc, ("n1", "n2", "x_min", "x_max", "y_min", "y_max"),
                 ("n1", "n2", "x_min", "x_max", "y_min", "y_max"), where)
-    return GridSpec(int(doc["n1"]), int(doc["n2"]), float(doc["x_min"]),
-                    float(doc["x_max"]), float(doc["y_min"]), float(doc["y_max"]))
+    return GridSpec(*(_number(doc, key, where, integer=True) for key in ("n1", "n2")),
+                    *(_number(doc, key, where) for key in ("x_min", "x_max", "y_min", "y_max")))
 
 
 def _grid_to_doc(grid: GridSpec) -> dict:
@@ -149,22 +163,24 @@ def cmd_simulate(args) -> int:
     grid = _grid_from_doc(doc["grid"])
     if ("alpha" in doc) == ("matern_range" in doc):
         raise ConfigError("simulate config needs exactly one of 'alpha' or 'matern_range'")
-    sigma2 = float(doc["sigma2"])
+    where = "simulate config"
+    sigma2 = _number(doc, "sigma2", where)
     if "alpha" in doc:
         # direct spectral parameterization: sigma2 is the amplitude f(0)
-        alpha = float(doc["alpha"])
+        alpha = _number(doc, "alpha", where)
     else:
         # Matern-calibrated scenario: sigma2 is the pixel variance of Z, so the
         # amplitude is rescaled by the shape mean after calibrating the range
-        alpha = calibrate_range_to_matern(grid, float(doc["matern_range"]))
+        alpha = calibrate_range_to_matern(grid, _number(doc, "matern_range", where))
         sigma2 = amplitude_for_variance(sigma2, alpha, grid)
         print(f"calibrated quasi-Matern alpha = {alpha:.6g} "
               f"for Matern range {doc['matern_range']} "
               f"(spectral amplitude {sigma2:.6g})")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    scenario = SimScenario(grid, CovParams(sigma2, alpha),
-                           np.asarray(doc["beta"], dtype=float),
-                           replicates=int(doc.get("replicates", 1)), seed=seed)
+    seed = (args.seed if args.seed is not None
+            else _number(doc, "seed", where, integer=True, least=0, default=0))
+    scenario = SimScenario(grid, CovParams(sigma2, alpha), _numbers(doc, "beta", where),
+                           replicates=_number(doc, "replicates", where, integer=True, least=1,
+                                              default=1), seed=seed)
 
     X, Z, log_lam = scenario_design(scenario)
     slemio.write_raster_csv(os.path.join(args.out, "Z_true.csv"), _raster_from_vector(Z, grid))
@@ -234,12 +250,14 @@ def cmd_predict(args) -> int:
     theta = _load_config(doc["theta_json"])
     _check_keys(theta, ("beta", "sigma2", "alpha", "converged", "em_iterations"),
                 ("sigma2", "alpha"), doc["theta_json"])
-    beta = np.asarray(theta.get("beta", []), dtype=float)
-    eta = CovParams(float(theta["sigma2"]), float(theta["alpha"]))
+    beta = _numbers(theta, "beta", doc["theta_json"], default=[])
+    eta = CovParams(_number(theta, "sigma2", doc["theta_json"]),
+                    _number(theta, "alpha", doc["theta_json"]))
+    k = _number(doc, "k", "predict config", integer=True, default=5)
     W_star = flatten(_read_raster(doc["w_star_csv"], grid))
     X = _read_design(doc, grid)  # estimate_intensity checks it against beta
     est = estimate_intensity(W_star, X, beta, quasi_matern_spectrum(eta, grid),
-                             grid.delta(), k=int(doc.get("k", 5)))
+                             grid.delta(), k=k)
     slemio.write_raster_csv(os.path.join(args.out, "local_var.csv"),
                             _raster_from_vector(est.local_var, grid))
     slemio.write_raster_csv(os.path.join(args.out, "latent_mean.csv"),
@@ -252,7 +270,7 @@ def cmd_predict(args) -> int:
                                 _raster_from_vector(np.sqrt(est.intensity), grid))
         files.append("intensity_sqrt.csv")
     _write_json(os.path.join(args.out, "predict.json"),
-                {"k": int(doc.get("k", 5)), "files": files,
+                {"k": k, "files": files,
                  "runtime_seconds": time.perf_counter() - t0})
     print(f"posterior intensity -> {args.out}")
     return 0
@@ -264,11 +282,14 @@ def cmd_score(args) -> int:
                       "k", "split_seed", "plugin_intensity", "log_lambda_true_csv"),
                 ("grid", "points_csv"), "score config")
     grid = _grid_from_doc(doc["grid"])
+    where = "score config"
+    split_seed = (args.seed if args.seed is not None
+                  else _number(doc, "split_seed", where, integer=True, least=0, default=0))
+    fraction = _number(doc, "train_fraction", where, default=0.9)
+    k = _number(doc, "k", where, integer=True, default=5)
     t0 = time.perf_counter()
     pattern = _read(slemio.read_points_csv, doc["points_csv"])
-    split_seed = args.seed if args.seed is not None else int(doc.get("split_seed", 0))
-    train_pts, test_pts = split_train_test(pattern, float(doc.get("train_fraction", 0.9)),
-                                           seed=split_seed)
+    train_pts, test_pts = split_train_test(pattern, fraction, seed=split_seed)
     Y_train = bin_points(train_pts, grid)
     Y_test = bin_points(test_pts, grid)
 
@@ -281,7 +302,7 @@ def cmd_score(args) -> int:
         lam = np.exp(result.W_star)
     else:
         est = estimate_intensity(result.W_star, X, result.theta_star.beta, f_star,
-                                 grid.delta(), k=int(doc.get("k", 5)))
+                                 grid.delta(), k=k)
         lam = est.intensity
     # the held-out points thin the intensity by the realised split ratio
     ls = log_score(Y_test, lam, grid.delta(), scale=len(test_pts) / len(train_pts))

@@ -97,40 +97,40 @@ def summarize_blocks(blocks: np.ndarray, fn: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-covariate Poisson selection
+# Poisson GLM fits and single-covariate selection
 # ---------------------------------------------------------------------------
 
 
-def _poisson_irls(y, delta, x, max_iter=50, tol=1e-8, ridge=1e-8):
-    """Fit log lambda = a + b x with offset log delta.  Returns (a, b,
-    loglik); a diverged fit reports -inf."""
-    D = np.column_stack([np.ones_like(x), x])
-    ybar = max(float(np.sum(y)) / float(np.sum(delta)), 1e-12)
-    coef = np.array([np.log(ybar), 0.0])
-    mu = delta * np.exp(D @ coef)
+def _poisson_irls(y, delta, D, max_iter=50, tol=1e-8, ridge=1e-8):
+    """Fit log lambda = D coef with offset log delta for an (n, p) design D.
+    Returns (coef, loglik); a diverged fit reports -inf.
+
+    The first weighted solve starts from mu = y + 0.1, as R's glm does, so no
+    column has to be the intercept.
+    """
+    mu = y + 0.1
+    eta = np.log(mu / delta)  # log lambda, the offset excluded
+    coef = np.zeros(D.shape[1])
     dev = _poisson_deviance(y, mu)
     for _ in range(max_iter):
+        z = eta + (y - mu) / np.maximum(mu, 1e-300)
+        A = D.T @ (mu[:, None] * D) + ridge * np.eye(D.shape[1])
+        try:
+            coef_new = np.linalg.solve(A, D.T @ (mu * z))
+        except np.linalg.LinAlgError:
+            return coef, -np.inf
+        if not np.all(np.isfinite(coef_new)):
+            return coef, -np.inf
+        coef = coef_new
         eta = D @ coef
         mu = delta * np.exp(np.clip(eta, -500, 500))
-        w = mu
-        z = eta + (y - mu) / np.maximum(mu, 1e-300)
-        A = D.T @ (w[:, None] * D) + ridge * np.eye(2)
-        b = D.T @ (w * z)
-        try:
-            coef_new = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            return coef[0], coef[1], -np.inf
-        if not np.all(np.isfinite(coef_new)):
-            return coef[0], coef[1], -np.inf
-        coef = coef_new
-        mu = delta * np.exp(np.clip(D @ coef, -500, 500))
         dev_new = _poisson_deviance(y, mu)
-        if abs(dev_new - dev) <= tol * (abs(dev) + 1e-12):
-            dev = dev_new
-            break
+        converged = abs(dev_new - dev) <= tol * (abs(dev) + 1e-12)
         dev = dev_new
+        if converged:
+            break
     ll = float(np.sum(y * np.log(np.maximum(mu, 1e-300)) - mu - special.gammaln(y + 1.0)))
-    return float(coef[0]), float(coef[1]), ll
+    return coef, ll
 
 
 def _poisson_deviance(y, mu):
@@ -156,8 +156,7 @@ def select_summary(Y, delta, candidates):
             continue
         if not finite.all():
             x = np.where(finite, x, x[finite].mean())
-        _, _, ll = _poisson_irls(y, delta, x)
-        lls.append(ll)
+        lls.append(_poisson_irls(y, delta, np.column_stack([np.ones_like(x), x]))[1])
     if np.all(np.isneginf(lls)):
         raise NumericalError("every candidate covariate diverged in selection")
     return int(np.argmax(lls)), lls

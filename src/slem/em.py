@@ -1,8 +1,12 @@
 """Monte Carlo EM for the gridded Cox model.
 
-E-step: Laplace mode of W at the current theta, plus Hutchinson probe pairs
-for the trace correction.  M-step: generalized least squares for beta, then a
-profiled 1-D search over the range for eta.  The surrogate objective is
+The fit starts from a Poisson GLM of the counts (glm_start) and iterates one
+EM map, em_step: (beta, eta, W) -> (beta', eta', W').  E-step: the Laplace
+mode of W at the current theta, plus Hutchinson probe pairs for the trace
+correction.  The probes' v's are drawn from config.seed on every map and
+only their solves u are redone, so the map is deterministic.  M-step:
+generalized least squares for beta, then a profiled 1-D search over the range
+for eta.  The surrogate objective is
 
     Q(theta | theta_t; M) = -1/2 [ log|Sigma_eta|
                                    + (W_t - X beta)' Sigma_eta^{-1} (W_t - X beta)
@@ -10,16 +14,20 @@ profiled 1-D search over the range for eta.  The surrogate objective is
 
 Sigma_eta is circulant, so by Parseval the last two terms are one sum over
 frequencies of a power spectrum P(omega) of the residual and the probe pairs,
-divided by the candidate spectrum.  Each EM iteration transforms the probe
-pairs once and the residual once per beta it prices (the incumbent and, when
-the beta step runs, the GLS candidate); q_tilde and the range search then
-price every candidate eta from P without an FFT.  For the quasi-Matern shape
-the sum over P is a quartic in alpha whose three coefficients are moments of
-P, so each range candidate costs one O(n) log sum.
+divided by the candidate spectrum.  Each map transforms the probe pairs once
+and the residual once per beta it prices (the incumbent and, under the joint
+scheme, the GLS candidate); q_tilde and the range search then price every
+candidate eta from P without an FFT.  For the quasi-Matern shape the sum over
+P is a quartic in alpha whose three coefficients are moments of P, so each
+range candidate costs one O(n) log sum.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
-against the incumbent, so the recorded objective trace is monotone by
-construction, not just in exact arithmetic.
+against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
+monotone by construction, not just in exact arithmetic.
+
+fit accelerates the map with SQUAREM (squarem) on theta = (beta, log sigma2,
+log alpha) and stops at the first map whose RMS step in those coordinates is
+below config.eps_em; config.max_em caps the number of maps.
 """
 from __future__ import annotations
 
@@ -31,12 +39,18 @@ from scipy import linalg as sla
 
 from .errors import CollinearityError, ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, unflatten
-from .laplace import newton_mode
-from .spectral import (CovParams, SpectralField, frequency_sines, log_det,
-                       quasi_matern_shape, quasi_matern_spectrum, sigma_inv_matvec)
+from .covariates import _poisson_irls
+from .laplace import clamped_exp, newton_mode
+from .spectral import (CovParams, SpectralField, amplitude_for_variance, frequency_sines,
+                       log_det, quasi_matern_shape, quasi_matern_spectrum,
+                       sigma_inv_matvec)
 from .trace import ProbePairs, make_probes
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
+# Pixel variance of the start when the counts show no excess dispersion over
+# the GLM mean (an all-zero grid, say); the profiled sigma2 step moves it.
+START_VARIANCE_FLOOR = 1e-2
+SQUAREM_STEP_GROWTH = 4.0  # steplength bound growth on a hit (the SQUAREM package's mstep)
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,19 @@ def _is_real(value):  # a Python or numpy int or float; not bool, str or complex
     return np.issubdtype(type(value), np.integer) or np.issubdtype(type(value), np.floating)
 
 
+def config_number(name: str, value, integer: bool = False, least=None):
+    """value as an int (integer=True) or a float, checked by FitConfig's rules:
+    an integer field takes a Python or numpy int, a real field any int or
+    float, never a bool or a string; least is an inclusive lower bound.
+    Raises ConfigError otherwise."""
+    ok = np.issubdtype(type(value), np.integer) if integer else _is_real(value)
+    if not ok or (least is not None and not value >= least):
+        kind = "an integer" if integer else "a number"
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 @dataclass
 class FitConfig:
     """Tuning knobs; field names double as the JSON schema for configs."""
@@ -71,9 +98,7 @@ class FitConfig:
 
     def __post_init__(self):
         for name, least in (("M", 1), ("max_em", 1), ("max_newton", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (np.issubdtype(type(value), np.integer) and value >= least):
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            config_number(name, getattr(self, name), integer=True, least=least)
         for name in ("eps_em", "eps_newton", "eps_pcg"):
             value = getattr(self, name)
             if not (_is_real(value) and value > 0):
@@ -133,8 +158,8 @@ class FitResult:
 def probe_spectrum(probes: ProbePairs, grid: GridSpec) -> np.ndarray:
     """(1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)), the trace part of P.
 
-    The probe pairs are fixed within an EM iteration, so their 2M FFTs run
-    once per iteration; power_spectrum adds the residual part.
+    The probe pairs are fixed within an EM map, so their 2M FFTs run once
+    per map; power_spectrum adds the residual part.
     """
     if probes.v.shape[1] != grid.n:
         raise ConfigError(
@@ -284,120 +309,179 @@ def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _em_stage(Y: CountGrid, X, grid: GridSpec, config: FitConfig, eta0: CovParams,
-              W0, diagnostics: dict):
-    """One EM run; an X with no columns is the covariance-only model.  Returns
-    the state at the last iteration plus the per-iteration objective pairs."""
-    n = grid.n
-    delta = grid.delta()
-    bounds = config.alpha_bounds if config.alpha_bounds is not None else (1e-2, float(grid.n1))
-    beta = np.zeros(X.shape[1])
-    eta = eta0
+def _alpha_bounds(config: FitConfig, grid: GridSpec):
+    return config.alpha_bounds if config.alpha_bounds is not None else (1e-2, float(grid.n1))
+
+
+def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovParams, W,
+            diagnostics: dict):
+    """One EM map (beta, eta, W) -> (beta', eta', W', Q_inc, Q_new).
+
+    E-step: the Laplace mode from W and the M probe pairs, whose v's come from
+    config.seed on every map, so the map is a deterministic function of its
+    input.  M-step: the GLS beta (joint scheme only) and the range search,
+    each kept only when it does not lower Q, so Q_new >= Q_inc.
+    """
     f = quasi_matern_spectrum(eta, grid)
-    W = np.zeros(n) if W0 is None else np.asarray(W0, dtype=float).copy()
-    trace_rows = []
-    converged = False
-    iterations = 0
+    Xbeta = X @ beta
+    lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
+                      max_newton=config.max_newton, eps_pcg=config.eps_pcg,
+                      diagnostics=diagnostics)
+    W = lap.mode
+    if not lap.converged:
+        diagnostics["newton_nonconverged"] = diagnostics.get("newton_nonconverged", 0) + 1
+    probes = make_probes(config.M, grid.n, config.seed, f, lap.c_diag, config.eps_pcg)
+    if not probes.solve_converged.all():
+        diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
+    probe_part = probe_spectrum(probes, grid)
 
-    for t in range(config.max_em):
-        iterations = t + 1
-        Xbeta = X @ beta
-        lap = newton_mode(Y, delta, Xbeta, f, W_init=W, epsilon=config.eps_newton,
-                          max_newton=config.max_newton, eps_pcg=config.eps_pcg,
+    P = power_spectrum(W - Xbeta, grid, probe_part)
+    q_inc = q_mid = q_tilde(P, f, grid)
+    if X.shape[1] > 0 and config.scheme == "joint":
+        beta_cand = update_beta(W, X, f)
+        P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
+        q_cand = q_tilde(P_cand, f, grid)
+        if q_cand >= q_inc:
+            beta, P, q_mid = beta_cand, P_cand, q_cand
+
+    # eta step on the residual at the chosen beta
+    eta_cand = update_eta(P, grid, _alpha_bounds(config, grid), incumbent=eta,
                           diagnostics=diagnostics)
-        W = lap.mode
-        if not lap.converged:
-            diagnostics["newton_nonconverged"] = diagnostics.get("newton_nonconverged", 0) + 1
-        probes = make_probes(config.M, n, config.seed + t, f, lap.c_diag, config.eps_pcg)
-        if not probes.solve_converged.all():
-            diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
-        probe_part = probe_spectrum(probes, grid)
+    q_new = q_tilde(P, quasi_matern_spectrum(eta_cand, grid), grid)
+    if q_new >= q_mid:
+        eta = eta_cand
+    else:
+        q_new = q_mid
+    return beta, eta, W, q_inc, q_new
 
-        theta_t = Theta(beta, eta)
-        P = power_spectrum(W - Xbeta, grid, probe_part)
-        q_inc = q_tilde(P, f, grid)
 
-        # beta step (GLS); joint updates every iteration, fixed only at t = 0
-        # and then keeps that beta whatever Q says
-        beta_new, q_mid = beta, q_inc
-        if X.shape[1] > 0 and (config.scheme == "joint" or t == 0):
-            beta_cand = update_beta(W, X, f)
-            P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
-            q_cand = q_tilde(P_cand, f, grid)
-            if config.scheme == "fixed" or q_cand >= q_inc:
-                beta_new, P, q_mid = beta_cand, P_cand, q_cand
+def squarem(F, x, state, lo, hi, eps, max_maps):
+    """Fixed point of x -> F(x, state)[0] by SQUAREM (Varadhan & Roland 2008,
+    scheme S3), with the residual check and steplength bound of their SQUAREM
+    package.
 
-        # eta step on the residual at the chosen beta
-        eta_cand = update_eta(P, grid, bounds, incumbent=eta, diagnostics=diagnostics)
-        f_cand = quasi_matern_spectrum(eta_cand, grid)
-        q_new = q_tilde(P, f_cand, grid)
-        if q_new >= q_mid:
-            eta_new, f_new = eta_cand, f_cand
+    F(x, state) returns (F(x), new state); the state rides along without
+    being extrapolated.  Each cycle takes two plain maps from x, extrapolates
+    with steplength a = -||r|| / ||v|| clamped to [-step_max, -1], clips the
+    point to the box [lo, hi], and takes one stabilising map from it.  If that
+    map raises NumericalError or its residual blows up, the cycle falls back
+    to the second plain map.  Stops after the first map whose RMS step is
+    below eps, or after max_maps maps.  Returns (x, state, maps, converged,
+    rejects).
+    """
+    maps = rejects = 0
+    step_max = 1.0
+
+    def plain(x, state):
+        nonlocal maps
+        maps += 1
+        x_new, state = F(x, state)
+        return x_new, state, float(np.sqrt(np.mean((x_new - x) ** 2))) < eps
+
+    while True:
+        x1, s1, done = plain(x, state)
+        if done or maps >= max_maps:
+            return x1, s1, maps, done, rejects
+        x2, s2, done = plain(x1, s1)
+        if done or maps >= max_maps:
+            return x2, s2, maps, done, rejects
+        r = x1 - x
+        v = x2 - x1 - r
+        nr, nv = np.linalg.norm(r), np.linalg.norm(v)
+        a = -float(np.clip(nr / nv, 1.0, step_max)) if nv > 0 else -step_max
+        x_ext = np.clip(x - 2.0 * a * r + a * a * v, lo, hi)
+        try:
+            x3, s3, done = plain(x_ext, s2)
+            bound = nr + 1.0 + np.sqrt(np.mean(x2 * x2))
+            blown = not np.linalg.norm(x3 - x_ext) <= bound
+        except NumericalError:
+            blown = True
+        if blown:
+            rejects += 1
+            x, state, done = x2, s2, False
+            if a == -step_max:
+                step_max = max(1.0, step_max / SQUAREM_STEP_GROWTH)
         else:
-            eta_new, f_new, q_new = eta, f, q_mid
+            x, state = x3, s3
+            if a == -step_max:
+                step_max *= SQUAREM_STEP_GROWTH
+        if done or maps >= max_maps:
+            return x, state, maps, done, rejects
 
-        if q_new < q_inc - 1e-9 * (1.0 + abs(q_inc)):
-            raise NumericalError(
-                f"M-step lowered the surrogate at EM iteration {iterations}: "
-                f"Q {q_inc:.17g} -> {q_new:.17g}")
-        trace_rows.append((q_inc, q_new))
 
-        d = Theta(beta_new, eta_new).vector() - theta_t.vector()
-        theta_rms = float(np.sqrt(np.mean(d * d)))
-        beta, eta, f = beta_new, eta_new, f_new
-        if theta_rms < config.eps_em:
-            converged = True
-            break
+def _pack(beta, eta: CovParams):
+    return np.concatenate([beta, [np.log(eta.sigma2), np.log(eta.alpha)]])
 
-    return beta, eta, W, iterations, converged, trace_rows
+
+def _unpack(x):
+    with np.errstate(over="ignore"):
+        eta = np.exp(x[-2:])
+    if not (np.all(np.isfinite(x[:-2])) and np.all(np.isfinite(eta))):
+        raise NumericalError(f"EM parameters left the finite range: {x}")
+    return x[:-2], CovParams(float(eta[0]), float(eta[1]))
+
+
+def glm_start(Y: CountGrid, X, grid: GridSpec, bounds):
+    """Starting (beta, eta, W): the Poisson GLM beta_0, W_0 = X beta_0, the
+    range n1/4 clipped to its bounds, and the amplitude giving the pixel
+    variance v = log(1 + sum((y - mu)^2 - mu) / sum(mu^2)), the lognormal
+    moment of the counts' excess dispersion around the GLM mean mu (floored
+    at START_VARIANCE_FLOOR when there is none)."""
+    y = Y.vector()
+    delta = grid.delta()
+    beta, _ = _poisson_irls(y, delta, X)
+    W = X @ beta
+    mu = delta * clamped_exp(W)
+    excess, scale = float(np.sum((y - mu) ** 2 - mu)), float(np.sum(mu * mu))
+    v = np.log1p(excess / scale) if excess > 0 and scale > 0 else 0.0
+    alpha = float(np.clip(grid.n1 / 4.0, *bounds))
+    sigma2 = amplitude_for_variance(max(v, START_VARIANCE_FLOOR), alpha, grid)
+    return beta, CovParams(sigma2, alpha), W
 
 
 def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
-    """Two-stage fit: a predictor-free warm start for the covariance, then the
-    full model from beta = 0 at the warmed-up eta.
+    """EM from the Poisson-GLM start (glm_start), accelerated by SQUAREM on
+    theta = (beta, log sigma2, log alpha), then one Newton refresh of the
+    mode at the final theta.
 
     X is an n x (p+1) design with intercept first, or None (equivalently, an
-    (n, 0) array) for a covariance-only model; then the warm start *is* the
-    fit.
+    (n, 0) array) for a covariance-only model.  Converged means the RMS step
+    of theta over one EM map fell below config.eps_em; max_em caps the maps.
     """
     X = design_matrix(X, grid.n)
-    y = Y.vector()
-    diagnostics = {}
+    # always 0; kept for readers that add it to em_iterations (perfbench/run.py)
+    diagnostics = {"stage1_iterations": 0}
     t0 = time.perf_counter()
+    bounds = _alpha_bounds(config, grid)
+    beta, eta, W = glm_start(Y, X, grid, bounds)
 
-    # stage 1: covariance-only warm start, W plays the role of Z
-    ybar = float(np.mean(y))
-    if ybar > 0:
-        eta0 = CovParams(ybar, grid.n1 / 4.0)
-    else:
-        # no events anywhere: mean-count init is degenerate, fall back to a
-        # unit prior variance so the intensity can still drift toward zero
-        eta0 = CovParams(1.0, grid.n1 / 4.0)
-        diagnostics["warmstart_sigma2_floored"] = True
-    beta, eta, W_last, iterations, converged, rows = _em_stage(
-        Y, X[:, :0], grid, config, eta0, None, diagnostics)
-    diagnostics["stage1_iterations"] = iterations
-    diagnostics["stage1_converged"] = converged
-    diagnostics["stage1_eta"] = [eta.sigma2, eta.alpha]
+    rows = []
 
-    if X.shape[1] > 0:
-        beta, eta, W_last, iterations, converged, rows = _em_stage(
-            Y, X, grid, config, eta, W_last, diagnostics)
+    def em_map(x, W):
+        beta, eta, W, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W, diagnostics)
+        rows.append((q_inc, q_new))
+        return _pack(beta, eta), W
+
+    p = X.shape[1]
+    lo = np.r_[np.full(p, -np.inf), np.log(SIGMA2_FLOOR), np.log(bounds[0])]
+    hi = np.r_[np.full(p, np.inf), np.inf, np.log(bounds[1])]
+    x, W, iterations, converged, rejects = squarem(
+        em_map, _pack(beta, eta), W, lo, hi, config.eps_em, config.max_em)
+    diagnostics["squarem_rejects"] = rejects
+    beta, eta = _unpack(x)
 
     # refresh the mode at the final theta so W* matches theta*
-    f_star = quasi_matern_spectrum(eta, grid)
     Xbeta = X @ beta
-    lap = newton_mode(Y, grid.delta(), Xbeta, f_star, W_init=W_last,
+    lap = newton_mode(Y, grid.delta(), Xbeta, quasi_matern_spectrum(eta, grid), W_init=W,
                       epsilon=config.eps_newton, max_newton=config.max_newton,
                       eps_pcg=config.eps_pcg, diagnostics=diagnostics)
     W_star = lap.mode
-    Z_star = W_star - Xbeta
     diagnostics["runtime_seconds"] = time.perf_counter() - t0
 
     return FitResult(
         theta_star=Theta(beta, eta),
         W_star=W_star,
-        Z_star=Z_star,
+        Z_star=W_star - Xbeta,
         em_iterations=iterations,
         converged=converged,
         objective_trace=np.asarray(rows, dtype=float).reshape(-1, 2),

@@ -24,6 +24,14 @@ EXPECTED_FILES = {
 }
 
 
+def _run(argv):
+    """main(argv), raising when the stage exits non-zero.  Not an assert, so
+    the stage still runs under python -O."""
+    code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"slem {' '.join(argv)} exited {code}")
+
+
 def _write(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -39,7 +47,7 @@ def run_all(root) -> dict:
         "grid": GRID_DOC, "sigma2": 1.5, "matern_range": 4.0,
         "beta": [0.5, 0.4], "replicates": 1, "seed": 0,
     })
-    assert main(["simulate", "--config", sim_cfg, "--out", dirs["simulate"]]) == 0
+    _run(["simulate", "--config", sim_cfg, "--out", dirs["simulate"]])
 
     fit_cfg = _write(os.path.join(root, "fit.json"), {
         "grid": GRID_DOC,
@@ -47,7 +55,7 @@ def run_all(root) -> dict:
         "covariates_csv": os.path.join(dirs["simulate"], "X.csv"),
         "fit": {"M": 1, "scheme": "joint", "max_em": 5, "seed": 0},
     })
-    assert main(["fit", "--config", fit_cfg, "--out", dirs["fit"]]) == 0
+    _run(["fit", "--config", fit_cfg, "--out", dirs["fit"]])
 
     pred_cfg = _write(os.path.join(root, "predict.json"), {
         "grid": GRID_DOC,
@@ -56,8 +64,7 @@ def run_all(root) -> dict:
         "covariates_csv": os.path.join(dirs["simulate"], "X.csv"),
         "k": 5,
     })
-    assert main(["predict", "--config", pred_cfg, "--out", dirs["predict"],
-                 "--sqrt-display"]) == 0
+    _run(["predict", "--config", pred_cfg, "--out", dirs["predict"], "--sqrt-display"])
 
     score_cfg = _write(os.path.join(root, "score.json"), {
         "grid": GRID_DOC,
@@ -67,5 +74,5 @@ def run_all(root) -> dict:
         "train_fraction": 0.9, "split_seed": 0,
         "log_lambda_true_csv": os.path.join(dirs["simulate"], "log_lambda_true.csv"),
     })
-    assert main(["score", "--config", score_cfg, "--out", dirs["score"]]) == 0
+    _run(["score", "--config", score_cfg, "--out", dirs["score"]])
     return dirs

@@ -103,7 +103,8 @@ def dense_q_tilde(sigma2, alpha, r, trace_value, grid):
     f = quasi_matern_spectrum(CovParams(sigma2, alpha), grid)
     S = dense_covariance(f)
     sign, logdet = np.linalg.slogdet(S)
-    assert sign > 0
+    if sign <= 0:
+        raise ValueError(f"dense covariance is not positive definite (slogdet sign {sign})")
     return -0.5 * (logdet + r @ np.linalg.solve(S, r) + trace_value)
 
 
@@ -148,18 +149,20 @@ def naive_block_summaries(frames):
     return diffs, means
 
 
-def poisson_loglik_1cov(y, delta, x):
-    """Max log-likelihood of log lambda = a + b x with offset log delta,
-    by direct 2-D numeric optimization (no IRLS)."""
+def poisson_loglik(y, delta, D):
+    """Max log-likelihood of log lambda = D coef with offset log delta, by
+    direct numeric optimization from two starts (no IRLS)."""
     from scipy.optimize import minimize
 
     def nll(theta):
-        eta = theta[0] + theta[1] * x + np.log(delta)
+        eta = D @ theta + np.log(delta)
         return -(y @ eta - np.exp(eta).sum())
 
     best = None
-    for start in ([0.0, 0.0], [np.log(max(y.mean(), 1e-8)), 0.0]):
-        res = minimize(nll, np.asarray(start), method="Nelder-Mead",
+    mean_start = np.zeros(D.shape[1])
+    mean_start[0] = np.log(max(y.mean(), 1e-8))
+    for start in (np.zeros(D.shape[1]), mean_start):
+        res = minimize(nll, start, method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000})
         if best is None or res.fun < best.fun:
             best = res

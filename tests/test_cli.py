@@ -404,6 +404,50 @@ def test_missing_input_file_exits_one(tmp_path, capsys, command, key):
     assert len(err) == 1 and err[0].startswith(f"config error: cannot read {missing}: ")
 
 
+BAD_NUMBERS = [
+    ("grid", {"n1": "x"}, "grid: n1 must be an integer, got 'x'"),
+    ("grid", {"n1": 4.7}, "grid: n1 must be an integer, got 4.7"),
+    ("grid", {"x_max": True}, "grid: x_max must be a number, got True"),
+    ("predict", {"k": "five"}, "predict config: k must be an integer, got 'five'"),
+    ("score", {"k": 2.5}, "score config: k must be an integer, got 2.5"),
+    ("score", {"train_fraction": "0.9"}, "score config: train_fraction must be a number"),
+    ("score", {"split_seed": -1}, "score config: split_seed must be an integer >= 0"),
+    ("simulate", {"sigma2": "1"}, "simulate config: sigma2 must be a number"),
+    ("simulate", {"alpha": None}, "simulate config: alpha must be a number, got None"),
+    ("simulate", {"replicates": 0}, "simulate config: replicates must be an integer >= 1"),
+    ("simulate", {"seed": 1.0}, "simulate config: seed must be an integer >= 0, got 1.0"),
+    ("simulate", {"beta": [0.2, "x"]}, "simulate config: beta[1] must be a number"),
+    ("simulate", {"beta": 0.2}, "simulate config: beta must be a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("command,change,message", BAD_NUMBERS,
+                         ids=[f"{c}-{next(iter(ch))}-{ch[next(iter(ch))]!r}"
+                              for c, ch, _ in BAD_NUMBERS])
+def test_config_numbers_are_typed(tmp_path, capsys, command, change, message):
+    # each numeric scalar is read by FitConfig's rules: a string, a bool or a
+    # fractional count is one config error line, never a traceback or a
+    # silent truncation
+    write_raster_csv(tmp_path / "W.csv", np.zeros((8, 8)))
+    write_config(tmp_path / "theta.json", {"beta": [], "sigma2": 1.0, "alpha": 2.0})
+    write_points_csv(tmp_path / "pts.csv", PointPattern(np.full((3, 2), 0.5)))
+    doc = {"grid": grid_doc(8, 8), **{
+        "grid": {"points_csv": str(tmp_path / "pts.csv")},
+        "predict": {"theta_json": str(tmp_path / "theta.json"),
+                    "w_star_csv": str(tmp_path / "W.csv")},
+        "score": {"points_csv": str(tmp_path / "pts.csv")},
+        "simulate": {"sigma2": 0.5, "alpha": 2.0, "beta": [0.2]},
+    }[command]}
+    if "n1" in change or "x_max" in change:
+        doc["grid"] = {**doc["grid"], **change}
+    else:
+        doc.update(change)
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+
+
 def test_malformed_json_exits_one(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

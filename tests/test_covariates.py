@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_block_summaries, poisson_loglik_1cov
+from oracles import naive_block_summaries, poisson_loglik
 from slem import (ConfigError, CountGrid, CovariateMatrix, GridSpec,
                   MinuteStack, NumericalError, block_summaries, select_summary,
                   standardize, summarize_blocks)
@@ -120,10 +120,20 @@ def test_irls_loglik_matches_numeric_mle():
     x = rng.standard_normal(GRID.n)
     y = make_counts(x, 0.5, 0.9, seed=4).vector()
     delta = GRID.delta()
-    a, b, ll = _poisson_irls(y, delta, x)
-    want = poisson_loglik_1cov(y, delta, x)
+    (a, b), ll = _poisson_irls(y, delta, np.column_stack([np.ones_like(x), x]))
+    want = poisson_loglik(y, delta, np.column_stack([np.ones_like(x), x]))
     np.testing.assert_allclose(ll, want, rtol=1e-8)
     assert abs(b - 0.9) < 0.5  # slope lands near the truth on one draw
+
+
+def test_irls_fits_a_multi_column_design():
+    rng = np.random.default_rng(3)
+    D = np.column_stack([np.ones(GRID.n)] + [rng.standard_normal(GRID.n) for _ in range(3)])
+    y = rng.poisson(np.exp(D @ np.array([0.5, 0.9, -0.4, 0.3])))
+    coef, ll = _poisson_irls(y, GRID.delta(), D)
+    np.testing.assert_allclose(ll, poisson_loglik(y, GRID.delta(), D), rtol=1e-8)
+    # the score X' (y - mu) vanishes at the MLE
+    np.testing.assert_allclose(D.T @ (y - np.exp(D @ coef)), 0.0, atol=1e-6)
 
 
 def test_select_summary_prefers_the_generating_covariate():
