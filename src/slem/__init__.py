@@ -19,7 +19,7 @@ from .spectral import (CovParams, SpectralField, amplitude_for_variance,
                        marginal_variance, matern_correlation,
                        quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
                        sigma_matvec)
-from .trace import ProbePairs, make_probes, trace_term
+from .trace import ProbePairs, make_probes
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "q_tilde", "quasi_matern_spectrum", "recover_z",
     "rmse_log_intensity", "sample_gp", "scatter_points", "select_summary",
     "sigma_inv_matvec", "sigma_matvec", "simulate_dataset",
-    "split_train_test", "standardize", "summarize_blocks", "trace_term",
-    "unflatten", "update_beta", "update_eta",
+    "split_train_test", "standardize", "summarize_blocks", "unflatten",
+    "update_beta", "update_eta",
 ]

@@ -114,9 +114,10 @@ def _read_raster(path, grid: GridSpec) -> np.ndarray:
 
 def _read_counts(path, grid: GridSpec) -> CountGrid:
     vals = _read_raster(path, grid)
-    if np.any(~np.isfinite(vals)):
-        raise ConfigError(f"{path}: counts raster contains missing values")
-    return CountGrid(vals.astype(np.int64), grid)
+    try:
+        return CountGrid(vals, grid)  # rejects missing, fractional and negative counts
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _read_design(doc, grid: GridSpec):
@@ -127,9 +128,7 @@ def _read_design(doc, grid: GridSpec):
     X, _ = _read(slemio.read_matrix_csv, path)
     if X.shape[0] != grid.n:
         raise ConfigError(f"{path}: design has {X.shape[0]} rows, grid needs {grid.n}")
-    if np.any(~np.isfinite(X)):
-        raise ConfigError(f"{path}: design matrix contains missing values")
-    return X
+    return X  # em.design_matrix rejects missing values where the design is used
 
 
 def _raster_from_vector(vec, grid: GridSpec) -> np.ndarray:
@@ -187,7 +186,7 @@ def cmd_simulate(args) -> int:
     slemio.write_raster_csv(os.path.join(args.out, "log_lambda_true.csv"),
                             _raster_from_vector(log_lam, grid))
     files = {"Z_true": "Z_true.csv", "log_lambda_true": "log_lambda_true.csv"}
-    if X is not None:
+    if X.shape[1]:
         names = ["intercept"] + [f"x{j}" for j in range(1, X.shape[1])]
         slemio.write_matrix_csv(os.path.join(args.out, "X.csv"), X, names)
         files["X"] = "X.csv"

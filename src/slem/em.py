@@ -42,8 +42,7 @@ from .grid import CountGrid, GridSpec, unflatten
 from .covariates import _poisson_irls
 from .laplace import clamped_exp, newton_mode
 from .spectral import (CovParams, SpectralField, amplitude_for_variance, frequency_sines,
-                       log_det, quasi_matern_shape, quasi_matern_spectrum,
-                       sigma_inv_matvec)
+                       log_det, quasi_matern_spectrum, sigma_inv_matvec)
 from .trace import ProbePairs, make_probes
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
@@ -128,14 +127,18 @@ class FitConfig:
 
 
 def design_matrix(X, n: int, p: int | None = None) -> np.ndarray:
-    """X as an (n, p) float array, any p if p is None; None is the design
-    with no columns.  Every function that takes a design goes through here."""
+    """X as a finite (n, p) float array, any p if p is None; None is the
+    design with no columns.  Every function that takes a design goes through
+    here."""
     if X is None:
         X = np.zeros((n, 0))
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != n or (p is not None and X.shape[1] != p):
         want = f"({n}, {'p+1' if p is None else p})"
         raise ConfigError(f"design matrix must be {want}, got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        row = int(np.nonzero(~np.isfinite(X))[0][0])
+        raise ConfigError(f"design matrix has a non-finite entry in row {row}")
     return X
 
 
@@ -216,26 +219,16 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
-def profiled_q(P, alpha: float, grid: GridSpec) -> tuple[float, float]:
-    """Q maximized over sigma2 at fixed alpha, and the maximizing sigma2.
-
-    With f = sigma2 g_alpha, Q = -1/2 [n log sigma2 + sum log g_alpha
-    + S / sigma2] where S = (1/n) sum P / g_alpha, so sigma2 = S / n (floored).
-    This is the direct form; update_eta prices candidates with quartic_profile,
-    which tests compare against it.
-    """
-    g = quasi_matern_shape(alpha, grid)
-    S = float(np.sum(P / g)) / grid.n
-    return _profiled(S, float(np.sum(np.log(g))), grid.n)
-
-
 def quartic_profile(P, grid: GridSpec):
-    """alpha -> profiled_q(P, alpha, grid), with the sum over P priced in O(1).
+    """alpha -> (Q maximized over sigma2 at alpha, the maximizing sigma2).
 
-    1/g_alpha = (1 + alpha^2 s)^2 with s from frequency_sines, so
-    sum P / g_alpha = A + 2 alpha^2 B + alpha^4 C for the moments A = sum P,
-    B = sum P s and C = sum P s^2, taken once; only sum log g_alpha =
-    -2 sum log1p(alpha^2 s) stays O(n) per candidate.
+    With f = sigma2 g_alpha and S = (1/n) sum P / g_alpha,
+    Q = -1/2 [n log sigma2 + sum log g_alpha + S / sigma2], maximized at
+    sigma2 = S / n (floored at SIGMA2_FLOOR).  1/g_alpha = (1 + alpha^2 s)^2
+    with s from frequency_sines, so sum P / g_alpha = A + 2 alpha^2 B
+    + alpha^4 C for the moments A = sum P, B = sum P s and C = sum P s^2,
+    taken once; only sum log g_alpha = -2 sum log1p(alpha^2 s) stays O(n)
+    per candidate.
     """
     s = frequency_sines(grid)
     Ps = P * s
@@ -244,14 +237,11 @@ def quartic_profile(P, grid: GridSpec):
     def price(alpha):
         a2 = alpha * alpha
         S = (A + 2.0 * a2 * B + a2 * a2 * C) / grid.n
-        return _profiled(S, -2.0 * float(np.sum(np.log1p(a2 * s))), grid.n)
+        log_det_g = -2.0 * float(np.sum(np.log1p(a2 * s)))
+        s2 = max(S / grid.n, SIGMA2_FLOOR)
+        return -0.5 * (grid.n * np.log(s2) + log_det_g + S / s2), s2
 
     return price
-
-
-def _profiled(S, log_det_g, n):
-    s2 = max(S / n, SIGMA2_FLOOR)
-    return -0.5 * (n * np.log(s2) + log_det_g + S / s2), s2
 
 
 def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,

@@ -40,20 +40,36 @@ def write_raster_csv(path, values: np.ndarray) -> None:
             fh.write(",".join(str(int(v)) if as_int else _fmt(v) for v in row) + "\n")
 
 
+def _field(text: str, path, ln) -> float:
+    """One CSV field as a float; an empty field is NaN (missing)."""
+    if text == "":
+        return np.nan
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{path}:{ln}: field {text!r} is not a number") from None
+
+
+def _records(fh, path):
+    """(line number, numeric fields) for each non-blank line left in fh,
+    counting the header as line 1."""
+    for ln, line in enumerate(fh, start=2):
+        line = line.strip()
+        if line:
+            yield ln, [_field(f, path, ln) for f in line.split(",")]
+
+
+def _shape_header(fh, path, kind):
+    m = _HEADER_RE.match(fh.readline().strip())
+    if not m:
+        raise ConfigError(f"{path}: missing '# n1=<int> n2=<int>' {kind} header")
+    return int(m.group(1)), int(m.group(2))
+
+
 def read_raster_csv(path) -> np.ndarray:
     with open(path) as fh:
-        header = fh.readline()
-        m = _HEADER_RE.match(header.strip())
-        if not m:
-            raise ConfigError(f"{path}: missing '# n1=<int> n2=<int>' raster header")
-        n1, n2 = int(m.group(1)), int(m.group(2))
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            rows.append([np.nan if f == "" else float(f) for f in fields])
+        n1, n2 = _shape_header(fh, path, "raster")
+        rows = [row for _, row in _records(fh, path)]
     if len({len(r) for r in rows}) > 1:
         raise ConfigError(f"{path}: raster rows have inconsistent field counts")
     arr = np.asarray(rows, dtype=float).reshape(len(rows), -1)
@@ -75,17 +91,12 @@ def read_points_csv(path) -> PointPattern:
         if header.replace(" ", "") != "x,y":
             raise ConfigError(f"{path}: point CSV must start with an 'x,y' header")
         pts = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{ln}: expected two fields, got {len(parts)}")
-            try:
-                pts.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{ln}: {exc}") from exc
+        for ln, pt in _records(fh, path):
+            if len(pt) != 2:
+                raise ConfigError(f"{path}:{ln}: expected two fields, got {len(pt)}")
+            if np.isnan(pt).any():
+                raise ConfigError(f"{path}:{ln}: missing coordinate")
+            pts.append(pt)
     return PointPattern(np.asarray(pts, dtype=float).reshape(-1, 2))
 
 
@@ -102,12 +113,7 @@ def write_matrix_csv(path, X: np.ndarray, names) -> None:
 def read_matrix_csv(path):
     with open(path) as fh:
         names = [s.strip() for s in fh.readline().strip().split(",")]
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([np.nan if f == "" else float(f) for f in line.split(",")])
+        rows = [row for _, row in _records(fh, path)]
     if not rows or any(len(r) != len(names) for r in rows):
         raise ConfigError(f"{path}: ragged or empty matrix CSV")
     return np.asarray(rows, dtype=float), names
@@ -137,22 +143,14 @@ def read_minute_stack(path, grid: GridSpec) -> np.ndarray:
 
 def _read_concatenated_stack(path, grid: GridSpec):
     with open(path) as fh:
-        header = fh.readline()
-        m = _HEADER_RE.match(header.strip())
-        if not m:
-            raise ConfigError(f"{path}: missing '# n1=<int> n2=<int>' stack header")
-        n1, n2 = int(m.group(1)), int(m.group(2))
+        n1, n2 = _shape_header(fh, path, "stack")
         per_frame = {}
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
+        for ln, fields in _records(fh, path):
             if len(fields) != n2 + 1:
                 raise ConfigError(f"{path}:{ln}: expected t plus {n2} values")
-            t = int(float(fields[0]))
-            row = [np.nan if f == "" else float(f) for f in fields[1:]]
-            per_frame.setdefault(t, []).append(row)
+            if not float(fields[0]).is_integer():
+                raise ConfigError(f"{path}:{ln}: frame index {fields[0]} is not an integer")
+            per_frame.setdefault(int(fields[0]), []).append(fields[1:])
     frames = []
     for t in sorted(per_frame):
         body = np.asarray(per_frame[t], dtype=float)

@@ -13,8 +13,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid
 from .pcg import SpdOperator, pcg_solve
-from .spectral import (SpectralField, _apply_spectrum, inverse_base_row,
-                       sigma_inv_matvec)
+from .spectral import SpectralField, _filter, inverse_base_row, sigma_inv_matvec
 
 EXP_CLAMP = 50.0  # exp argument cap; anything above is already astronomical
 
@@ -53,10 +52,10 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
     inv0 = inverse_base_row(f)[0]
     c_bar = float(np.mean(c_diag))
     scale = np.sqrt((inv0 + c_bar) / (inv0 + c_diag))
-    middle = 1.0 / (1.0 / f.values + c_bar)
+    middle = 1.0 / (f.inv_half + c_bar)
     return SpdOperator(
         apply=lambda v: sigma_inv_matvec(f, v) + c_diag * v,
-        precondition=lambda r: scale * _apply_spectrum(middle, scale * r),
+        precondition=lambda r: scale * _filter(middle, scale * r, f.shape),
     )
 
 

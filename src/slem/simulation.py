@@ -33,26 +33,24 @@ class SimScenario:
 @dataclass(frozen=True)
 class SimulatedDataset:
     Y: CountGrid
-    X: np.ndarray | None
+    X: np.ndarray                  # (n, 0) for a covariance-only scenario
     Z_true: np.ndarray
     log_lambda_true: np.ndarray
     replicate_index: int
 
 
 def scenario_design(scenario: SimScenario):
-    """(X, Z, log_lambda): the replicate-invariant part of a scenario."""
+    """(X, Z, log_lambda): the replicate-invariant part of a scenario.  X is
+    (n, p+1), or (n, 0) for a scenario without beta."""
     grid = scenario.grid
     f = quasi_matern_spectrum(scenario.eta_true, grid)
     Z = sample_gp(f, scenario.seed)
+    # an intercept column, then one standard-normal column per slope
     p1 = scenario.beta_true.size
-    if p1 == 0:
-        X = None
-        log_lam = Z
-    else:
-        rng = np.random.default_rng([scenario.seed, 1])
-        X = np.column_stack([np.ones(grid.n)]
-                            + [rng.standard_normal(grid.n) for _ in range(p1 - 1)])
-        log_lam = X @ scenario.beta_true + Z
+    rng = np.random.default_rng([scenario.seed, 1])
+    X = np.ones((grid.n, p1))
+    X[:, 1:] = rng.standard_normal((max(p1 - 1, 0), grid.n)).T
+    log_lam = X @ scenario.beta_true + Z
     if np.any(log_lam > EXP_CLAMP):
         raise ConfigError("scenario intensity overflows exp clamp; rescale beta or eta")
     return X, Z, log_lam

@@ -9,13 +9,18 @@ default), hence
     Cov(h) = (1/n) sum_omega f(omega) e^{i omega . h},
     log|Sigma| = sum_omega log f(omega).
 
-Matvecs run through real transforms, so results are exactly real; the
-symmetry of f under frequency negation (which makes that legitimate) is a
-hard construction-time invariant of SpectralField.
+Every operator is one real transform pair, iDFT(h . DFT(v)), with h the
+spectrum of the operator on the rfft2 half plane: f for Sigma, 1/f for
+Sigma^{-1}, sqrt(f) for sampling.  SpectralField owns that layout (its half
+and inv_half, cut once per field) and _filter is the one transform pair, so
+results are exactly real; the symmetry of f under frequency negation (which
+makes that legitimate) is a hard construction-time invariant of
+SpectralField.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -65,6 +70,18 @@ class SpectralField:
     def n(self):
         return self.values.size
 
+    @cached_property
+    def half(self):
+        """f on the rfft2 half plane, the first n2 // 2 + 1 frequency columns."""
+        return self.values[:, : self.shape[1] // 2 + 1]
+
+    @cached_property
+    def inv_half(self):
+        """1 / f on the half plane: the spectrum of Sigma^{-1}."""
+        inv = 1.0 / self.half
+        inv.flags.writeable = False
+        return inv
+
 
 def frequency_sines(grid: GridSpec) -> np.ndarray:
     """s(omega) = sin^2(w1/2) + sin^2(w2/2) on the n1 x n2 frequency grid."""
@@ -104,26 +121,26 @@ def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _apply_spectrum(fvals: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n1, n2 = fvals.shape
+def _filter(half: np.ndarray, v: np.ndarray, shape) -> np.ndarray:
+    """iDFT(h . DFT(v)) for an n-vector v on an n1 x n2 grid, with h the
+    operator's spectrum on the half plane (SpectralField.half or inv_half)."""
+    n1, n2 = shape
     v = np.asarray(v, dtype=float)
     if v.size != n1 * n2:
         raise ConfigError(f"vector length {v.size} does not match grid {n1}x{n2}")
     if not np.all(np.isfinite(v)):
         raise NumericalError("matvec input contains non-finite entries")
-    field = unflatten(v, n1, n2)
-    out = np.fft.irfft2(np.fft.rfft2(field) * fvals[:, : n2 // 2 + 1], s=(n1, n2))
-    return flatten(out)
+    return flatten(np.fft.irfft2(np.fft.rfft2(unflatten(v, n1, n2)) * half, s=shape))
 
 
 def sigma_matvec(f: SpectralField, v: np.ndarray) -> np.ndarray:
     """Sigma v = iDFT(f . DFT(v))."""
-    return _apply_spectrum(f.values, v)
+    return _filter(f.half, v, f.shape)
 
 
 def sigma_inv_matvec(f: SpectralField, v: np.ndarray) -> np.ndarray:
     """Sigma^{-1} v = iDFT(f^{-1} . DFT(v)); exact inverse, not an iterative solve."""
-    return _apply_spectrum(1.0 / f.values, v)
+    return _filter(f.inv_half, v, f.shape)
 
 
 def log_det(f: SpectralField) -> float:
@@ -137,16 +154,13 @@ def sample_gp(f: SpectralField, seed: int) -> np.ndarray:
     real symmetric matrix square root of Sigma and the draw is exact, not an
     approximation.
     """
-    n1, n2 = f.shape
-    eps = np.random.default_rng(seed).standard_normal((n1, n2))
-    out = np.fft.irfft2(np.fft.rfft2(eps) * np.sqrt(f.values[:, : n2 // 2 + 1]), s=(n1, n2))
-    return flatten(out)
+    eps = np.random.default_rng(seed).standard_normal(f.shape)
+    return _filter(np.sqrt(f.half), flatten(eps), f.shape)
 
 
 def inverse_base_row(f: SpectralField) -> np.ndarray:
-    """First row of Sigma^{-1}: same transform applied to 1/f."""
-    n1, n2 = f.shape
-    return flatten(np.fft.irfft2((1.0 / f.values)[:, : n2 // 2 + 1], s=(n1, n2)))
+    """First row of Sigma^{-1}: the inverse transform of 1/f."""
+    return flatten(np.fft.irfft2(f.inv_half, s=f.shape))
 
 
 # ---------------------------------------------------------------------------

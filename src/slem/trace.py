@@ -1,12 +1,11 @@
-"""Hutchinson estimation of the E-step trace term.
+"""Hutchinson probe pairs for the E-step trace term.
 
 The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
-solved once per EM iteration.  The M-step never calls trace_term: it
+solved once per EM iteration.  There is no estimator here: the M-step
 transforms the pairs once per iteration (em.probe_spectrum) and adds that
-spectrum to the power spectrum of each residual it prices, after which every
-candidate range is a sum over frequencies with no FFT.  trace_term is the
-direct form, one matvec per probe, kept as the reference that tests compare
-the power spectrum against.
+spectrum to the power spectrum of each residual it prices, after which the
+trace (1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum
+over frequencies with no FFT.
 """
 from __future__ import annotations
 
@@ -17,7 +16,9 @@ import numpy as np
 from .errors import ConfigError
 from .laplace import precision_operator
 from .pcg import pcg_solve
-from .spectral import SpectralField, sigma_inv_matvec
+from .spectral import SpectralField
+# unused here; kept for perfbench/tracing.py, which patches trace.sigma_inv_matvec
+from .spectral import sigma_inv_matvec  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -58,12 +59,3 @@ def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
         u[i] = sol.x
         ok[i] = sol.converged
     return ProbePairs(v, u, ok)
-
-
-def trace_term(f_candidate: SpectralField, probes: ProbePairs) -> float:
-    """(1/M) sum_i v_i' Sigma_eta^{-1} u_i, the stochastic trace of
-    Sigma_eta^{-1} (Sigma_t^{-1} + C)^{-1} at the candidate eta."""
-    total = 0.0
-    for i in range(probes.M):
-        total += float(probes.v[i] @ sigma_inv_matvec(f_candidate, probes.u[i]))
-    return total / probes.M

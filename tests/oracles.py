@@ -3,12 +3,16 @@
 Everything here goes through dense linear algebra or explicit loops on
 purpose: no FFT matvecs, no PCG, no shared code paths with the solvers under
 test.  dense_covariance is assembled FFT-free from the spectral sum; base_row
-is the FFT route to the same lag table, checked against it.
+is the FFT route to the same lag table, checked against it.  trace_term and
+profiled_q are the direct forms that the EM's power-spectrum pricing
+replaces: one spectral matvec per probe, one sum over P / g per range.
 """
 import numpy as np
 from scipy.special import gammaln
 
-from slem import ConfigError, flatten
+from slem import ConfigError, flatten, sigma_inv_matvec
+from slem.em import SIGMA2_FLOOR
+from slem.spectral import quasi_matern_shape
 
 DENSE_LIMIT = 4096  # dense matrices beyond this are too big for a test
 
@@ -89,6 +93,27 @@ def dense_trace(f_candidate, f_t, c_diag):
     A = dense_sigma_inv(f_candidate)
     B = np.linalg.inv(dense_posterior_precision(f_t, c_diag))
     return float(np.trace(A @ B))
+
+
+def trace_term(f_candidate, probes):
+    """(1/M) sum_i v_i' Sigma_eta^{-1} u_i, the stochastic trace of
+    Sigma_eta^{-1} (Sigma_t^{-1} + C)^{-1} at the candidate eta."""
+    total = 0.0
+    for i in range(probes.M):
+        total += float(probes.v[i] @ sigma_inv_matvec(f_candidate, probes.u[i]))
+    return total / probes.M
+
+
+def profiled_q(P, alpha, grid):
+    """Q maximized over sigma2 at fixed alpha, and the maximizing sigma2.
+
+    With f = sigma2 g_alpha, Q = -1/2 [n log sigma2 + sum log g_alpha
+    + S / sigma2] where S = (1/n) sum P / g_alpha, so sigma2 = S / n (floored).
+    """
+    g = quasi_matern_shape(alpha, grid)
+    S = float(np.sum(P / g)) / grid.n
+    s2 = max(S / grid.n, SIGMA2_FLOOR)
+    return -0.5 * (grid.n * np.log(s2) + float(np.sum(np.log(g))) + S / s2), s2
 
 
 def dense_gls(W, X, Sinv):

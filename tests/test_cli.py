@@ -448,6 +448,44 @@ def test_config_numbers_are_typed(tmp_path, capsys, command, change, message):
     assert len(err) == 1 and err[0].startswith(f"config error: {message}")
 
 
+BAD_FIELDS = {
+    # config key -> file whose third line holds a non-numeric field
+    "counts_csv": "# n1=2 n2=2\n0,1\n3,abc\n",
+    "covariates_csv": "intercept,x1\n1,0.1\n1,zz\n1,0.3\n1,0.4\n",
+    "stack": "# n1=2 n2=2\n1,0.5,0.5\n1,0.5,x\n",
+    "points_csv": "x,y\n0.5,0.5\n1.5,?\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_FIELDS))
+def test_non_numeric_csv_field_exits_one(tmp_path, capsys, key):
+    write_raster_csv(tmp_path / "counts.csv", np.ones((2, 2), dtype=int))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(BAD_FIELDS[key])
+    command, doc = {
+        "counts_csv": ("fit", {}),
+        "covariates_csv": ("fit", {"counts_csv": str(tmp_path / "counts.csv")}),
+        "stack": ("covariates", {"counts_csv": str(tmp_path / "counts.csv")}),
+        "points_csv": ("grid", {}),
+    }[key]
+    doc.update({"grid": grid_doc(2, 2), key: str(bad)})
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {bad}:3: field ")
+
+
+@pytest.mark.parametrize("field", ["1.7", "-0.5", ""], ids=["fraction", "negative", "empty"])
+def test_counts_must_be_whole_and_present(tmp_path, capsys, field):
+    # a fractional count used to be truncated and fitted, exiting 0
+    counts = tmp_path / "counts.csv"
+    counts.write_text(f"# n1=2 n2=2\n0,1\n3,{field}\n")
+    cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(2, 2), "counts_csv": str(counts)})
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {counts}: counts must be finite integers"]
+
+
 def test_malformed_json_exits_one(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

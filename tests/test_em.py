@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_gls, dense_q_tilde, dense_sigma_inv
+from oracles import dense_gls, dense_q_tilde, dense_sigma_inv, profiled_q, trace_term
 from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
                   FitConfig, GridSpec, NumericalError, ProbePairs, SimScenario,
                   SpectralField, Theta, amplitude_for_variance,
                   calibrate_range_to_matern, fit, flatten,
                   make_probes, power_spectrum, probe_spectrum, q_tilde,
                   quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
-                  simulate_dataset, trace_term, unflatten, update_beta,
+                  simulate_dataset, unflatten, update_beta,
                   update_eta)
 from slem import em
-from slem.em import _pack, em_step, glm_start, profiled_q, quartic_profile, squarem
+from slem.em import _pack, em_step, glm_start, quartic_profile, squarem
 
 GRID6 = GridSpec.unit(6, 6)
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
@@ -529,6 +529,16 @@ def test_fit_rejects_wrong_design_shape():
     Y, X, grid = small_dataset(seed=7)
     with pytest.raises(ConfigError):
         fit(Y, np.ones((5, 2)), grid, FitConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_design(bad):
+    # rejected at the boundary, not deep inside the Newton loop's matvecs
+    Y, X, grid = small_dataset(seed=7)
+    X = X.copy()
+    X[3, 1] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        fit(Y, X, grid, FitConfig(max_em=2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,23 @@ def test_minute_stack_errors(tmp_path):
     write_minute_stack(d2, np.zeros((2, 3, 3)))
     with pytest.raises(ConfigError):
         read_minute_stack(d2, GridSpec.unit(4, 4))
+
+
+def test_bad_field_names_path_and_line(tmp_path):
+    # every reader parses fields the same way: empty is NaN, junk is an error
+    p = tmp_path / "bad.csv"
+    for reader, text in [
+        (read_raster_csv, "# n1=2 n2=2\n1,2\n3,abc\n"),
+        (read_matrix_csv, "a,b\n1,2\n3,abc\n"),
+        (read_points_csv, "x,y\n1,2\n3,abc\n"),
+        (lambda q: read_minute_stack(q, GridSpec.unit(1, 2)), "# n1=1 n2=2\n1,1,2\n2,3,abc\n"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}:3: field 'abc' is not a number")):
+            reader(p)
+    p.write_text("x,y\n1,\n")
+    with pytest.raises(ConfigError, match="missing coordinate"):
+        read_points_csv(p)
+    p.write_text("# n1=1 n2=2\n1.5,1,2\n")
+    with pytest.raises(ConfigError, match="frame index"):
+        read_minute_stack(p, GridSpec.unit(1, 2))

@@ -45,6 +45,20 @@ def test_design_must_match_beta(X, beta):
         intensity_mean(W, np.zeros(4), X, beta)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_design_is_rejected(bad):
+    # an inf used to give intensity 0 and z_mode -inf at its pixel, silently
+    grid, f, _ = posterior_instance(6, 6)
+    W = np.zeros(grid.n)
+    X = np.ones((grid.n, 2))
+    X[5, 1] = bad
+    beta = np.array([0.1, 0.2])
+    with pytest.raises(ConfigError, match="non-finite"):
+        recover_z(W, X, beta)
+    with pytest.raises(ConfigError, match="non-finite"):
+        estimate_intensity(W, X, beta, f, grid.delta(), k=3)
+
+
 def test_recover_z_subtracts_linear_predictor():
     rng = np.random.default_rng(1)
     W = rng.standard_normal(12)

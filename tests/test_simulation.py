@@ -15,7 +15,7 @@ def test_flat_unit_intensity_is_standard_poisson():
     y = data.Y.vector()
     np.testing.assert_allclose(data.log_lambda_true, 0.0, atol=1e-5)
     assert abs(y.mean() - 1.0) < 3.0 / np.sqrt(GRID32.n)
-    assert data.X is None
+    assert data.X.shape == (GRID32.n, 0)
 
 
 def test_replicates_share_the_field_and_design():
@@ -74,7 +74,7 @@ def test_design_has_leading_intercept():
 def test_covariance_only_scenario_uses_field_directly():
     scen = SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0), seed=8)
     X, Z, log_lam = scenario_design(scen)
-    assert X is None
+    assert X.shape == (GRID32.n, 0)
     np.testing.assert_array_equal(log_lam, Z)
 
 

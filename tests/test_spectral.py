@@ -14,6 +14,10 @@ from slem.spectral import correlation_at_lag
 
 GRID6 = GridSpec.unit(6, 6)
 GRID8 = GridSpec.unit(8, 8)
+# non-square grids with odd n2 catch a half plane cut on the wrong axis or an
+# inverse transform that drops s= (it would return an even n2); acceptance 01
+# runs inverse_base_row on the same grids
+ORACLE_GRIDS = [GRID6, GRID8, GridSpec.unit(5, 7), GridSpec.unit(7, 5), GridSpec.unit(9, 4)]
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
 
 
@@ -85,7 +89,7 @@ def test_amplitude_for_variance_roundtrip():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("grid", [GRID6, GRID8])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
 @pytest.mark.parametrize("eta", PARAM_SETS)
 def test_sigma_matvec_dense(grid, eta):
     f = quasi_matern_spectrum(eta, grid)
@@ -94,7 +98,7 @@ def test_sigma_matvec_dense(grid, eta):
     assert rel_err(sigma_matvec(f, v), S @ v) < 1e-10
 
 
-@pytest.mark.parametrize("grid", [GRID6, GRID8])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
 @pytest.mark.parametrize("eta", PARAM_SETS)
 def test_sigma_inv_matvec_dense(grid, eta):
     f = quasi_matern_spectrum(eta, grid)

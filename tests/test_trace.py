@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dense_posterior_precision, dense_trace
+from oracles import dense_posterior_precision, dense_trace, trace_term
 from slem import (CovParams, GridSpec, ProbePairs, make_probes,
-                  quasi_matern_spectrum, sigma_matvec, trace_term)
+                  quasi_matern_spectrum, sigma_matvec)
 
 GRID8 = GridSpec.unit(8, 8)
 ETA_T = CovParams(1.5, 3.0)
