@@ -8,6 +8,7 @@ that hit max iterations still exits 0, with converged=false in its JSON),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import io as slemio
 from .covariates import MinuteStack, block_summaries, select_summary, standardize, summarize_blocks, SUMMARY_FNS
-from .em import FitConfig, config_number, fit
+from .em import FitConfig, config_number, design_matrix, fit
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, bin_points, domain_mask, flatten, split_train_test, unflatten
 from .posterior import estimate_intensity
@@ -76,17 +77,19 @@ def _numbers(doc: dict, key, where, default=None) -> np.ndarray:
 
 
 def _grid_from_doc(doc, where="grid") -> GridSpec:
+    keys = ("n1", "n2", "x_min", "x_max", "y_min", "y_max")
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(doc, ("n1", "n2", "x_min", "x_max", "y_min", "y_max"),
-                ("n1", "n2", "x_min", "x_max", "y_min", "y_max"), where)
-    return GridSpec(*(_number(doc, key, where, integer=True) for key in ("n1", "n2")),
-                    *(_number(doc, key, where) for key in ("x_min", "x_max", "y_min", "y_max")))
+    _check_keys(doc, keys, keys, where)
+    return GridSpec(*(_number(doc, key, where, integer=key in keys[:2]) for key in keys))
 
 
-def _grid_to_doc(grid: GridSpec) -> dict:
-    return {"n1": grid.n1, "n2": grid.n2, "x_min": grid.x_min, "x_max": grid.x_max,
-            "y_min": grid.y_min, "y_max": grid.y_max}
+def _open_config(args, where, allowed, required):
+    """(doc, grid) for the JSON config at args.config.  doc may hold only
+    'grid' and the allowed keys, and must hold 'grid' and the required ones."""
+    doc = _load_config(args.config)
+    _check_keys(doc, ("grid", *allowed), ("grid", *required), where)
+    return doc, _grid_from_doc(doc["grid"])
 
 
 def _fit_config_from_doc(doc, seed_override=None) -> FitConfig:
@@ -112,27 +115,31 @@ def _read_raster(path, grid: GridSpec) -> np.ndarray:
     return vals
 
 
-def _read_counts(path, grid: GridSpec) -> CountGrid:
-    vals = _read_raster(path, grid)
+def _checked(path, check, *args):
+    """check(*args), with a ConfigError it raises prefixed by path."""
     try:
-        return CountGrid(vals, grid)  # rejects missing, fractional and negative counts
+        return check(*args)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read_counts(path, grid: GridSpec) -> CountGrid:
+    # CountGrid rejects missing, fractional and negative counts
+    return _checked(path, CountGrid, _read_raster(path, grid), grid)
+
+
 def _read_design(doc, grid: GridSpec):
-    """The design named by a config's covariates_csv, or None if it names none."""
+    """The design named by a config's covariates_csv, or None if it names
+    none.  Its width is checked against beta where the design is used."""
     path = doc.get("covariates_csv")
     if not path:
         return None
-    X, _ = _read(slemio.read_matrix_csv, path)
-    if X.shape[0] != grid.n:
-        raise ConfigError(f"{path}: design has {X.shape[0]} rows, grid needs {grid.n}")
-    return X  # em.design_matrix rejects missing values where the design is used
+    return _checked(path, design_matrix, _read(slemio.read_matrix_csv, path)[0], grid.n)
 
 
-def _raster_from_vector(vec, grid: GridSpec) -> np.ndarray:
-    return unflatten(np.asarray(vec, dtype=float), grid.n1, grid.n2)
+def _write_field(out, name, vec, grid: GridSpec) -> None:
+    """Write the pixel vector vec as the raster file out/name."""
+    slemio.write_raster_csv(os.path.join(out, name), unflatten(vec, grid.n1, grid.n2))
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +148,7 @@ def _raster_from_vector(vec, grid: GridSpec) -> np.ndarray:
 
 
 def cmd_grid(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("points_csv", "grid"), ("points_csv", "grid"), "grid config")
-    grid = _grid_from_doc(doc["grid"])
+    doc, grid = _open_config(args, "grid config", ("points_csv",), ("points_csv",))
     pattern = _read(slemio.read_points_csv, doc["points_csv"])
     inside = int(domain_mask(pattern, grid).sum())
     counts = bin_points(pattern, grid)
@@ -156,13 +161,12 @@ def cmd_grid(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    doc = _load_config(args.config)
-    _check_keys(doc, ("grid", "sigma2", "alpha", "matern_range", "beta", "replicates", "seed"),
-                ("grid", "sigma2", "beta"), "simulate config")
-    grid = _grid_from_doc(doc["grid"])
-    if ("alpha" in doc) == ("matern_range" in doc):
-        raise ConfigError("simulate config needs exactly one of 'alpha' or 'matern_range'")
     where = "simulate config"
+    doc, grid = _open_config(args, where,
+                             ("sigma2", "alpha", "matern_range", "beta", "replicates", "seed"),
+                             ("sigma2", "beta"))
+    if ("alpha" in doc) == ("matern_range" in doc):
+        raise ConfigError(f"{where} needs exactly one of 'alpha' or 'matern_range'")
     sigma2 = _number(doc, "sigma2", where)
     if "alpha" in doc:
         # direct spectral parameterization: sigma2 is the amplitude f(0)
@@ -182,9 +186,8 @@ def cmd_simulate(args) -> int:
                                               default=1), seed=seed)
 
     X, Z, log_lam = scenario_design(scenario)
-    slemio.write_raster_csv(os.path.join(args.out, "Z_true.csv"), _raster_from_vector(Z, grid))
-    slemio.write_raster_csv(os.path.join(args.out, "log_lambda_true.csv"),
-                            _raster_from_vector(log_lam, grid))
+    _write_field(args.out, "Z_true.csv", Z, grid)
+    _write_field(args.out, "log_lambda_true.csv", log_lam, grid)
     files = {"Z_true": "Z_true.csv", "log_lambda_true": "log_lambda_true.csv"}
     if X.shape[1]:
         names = ["intercept"] + [f"x{j}" for j in range(1, X.shape[1])]
@@ -201,7 +204,7 @@ def cmd_simulate(args) -> int:
         slemio.write_points_csv(os.path.join(args.out, p_name), pts)
         files["replicates"][str(rep)] = {"counts": y_name, "points": p_name,
                                          "total": data.Y.total()}
-    manifest = {"grid": _grid_to_doc(grid), "sigma2": scenario.eta_true.sigma2,
+    manifest = {"grid": dataclasses.asdict(grid), "sigma2": scenario.eta_true.sigma2,
                 "alpha": scenario.eta_true.alpha, "beta": list(map(float, scenario.beta_true)),
                 "replicates": scenario.replicates, "seed": seed, "files": files,
                 "runtime_seconds": time.perf_counter() - t0}
@@ -211,10 +214,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("grid", "counts_csv", "covariates_csv", "fit"),
-                ("grid", "counts_csv"), "fit config")
-    grid = _grid_from_doc(doc["grid"])
+    doc, grid = _open_config(args, "fit config", ("counts_csv", "covariates_csv", "fit"),
+                             ("counts_csv",))
     Y = _read_counts(doc["counts_csv"], grid)
     X = _read_design(doc, grid)
     result = fit(Y, X, grid, _fit_config_from_doc(doc.get("fit"), seed_override=args.seed))
@@ -225,10 +226,8 @@ def cmd_fit(args) -> int:
              "converged": result.converged,
              "em_iterations": result.em_iterations}
     _write_json(os.path.join(args.out, "theta.json"), theta)
-    slemio.write_raster_csv(os.path.join(args.out, "W_star.csv"),
-                            _raster_from_vector(result.W_star, grid))
-    slemio.write_raster_csv(os.path.join(args.out, "Z_star.csv"),
-                            _raster_from_vector(result.Z_star, grid))
+    _write_field(args.out, "W_star.csv", result.W_star, grid)
+    _write_field(args.out, "Z_star.csv", result.Z_star, grid)
     with open(os.path.join(args.out, "objective_trace.csv"), "w") as fh:
         fh.write("iteration,q_incumbent,q_updated\n")
         for i, (qi, qu) in enumerate(result.objective_trace):
@@ -242,10 +241,9 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     t0 = time.perf_counter()
-    doc = _load_config(args.config)
-    _check_keys(doc, ("grid", "theta_json", "w_star_csv", "covariates_csv", "k"),
-                ("grid", "theta_json", "w_star_csv"), "predict config")
-    grid = _grid_from_doc(doc["grid"])
+    doc, grid = _open_config(args, "predict config",
+                             ("theta_json", "w_star_csv", "covariates_csv", "k"),
+                             ("theta_json", "w_star_csv"))
     theta = _load_config(doc["theta_json"])
     _check_keys(theta, ("beta", "sigma2", "alpha", "converged", "em_iterations"),
                 ("sigma2", "alpha"), doc["theta_json"])
@@ -257,31 +255,25 @@ def cmd_predict(args) -> int:
     X = _read_design(doc, grid)  # estimate_intensity checks it against beta
     est = estimate_intensity(W_star, X, beta, quasi_matern_spectrum(eta, grid),
                              grid.delta(), k=k)
-    slemio.write_raster_csv(os.path.join(args.out, "local_var.csv"),
-                            _raster_from_vector(est.local_var, grid))
-    slemio.write_raster_csv(os.path.join(args.out, "latent_mean.csv"),
-                            _raster_from_vector(est.latent_mean, grid))
-    slemio.write_raster_csv(os.path.join(args.out, "intensity.csv"),
-                            _raster_from_vector(est.intensity, grid))
-    files = ["local_var.csv", "latent_mean.csv", "intensity.csv"]
+    fields = {"local_var.csv": est.local_var, "latent_mean.csv": est.latent_mean,
+              "intensity.csv": est.intensity}
     if args.sqrt_display:
-        slemio.write_raster_csv(os.path.join(args.out, "intensity_sqrt.csv"),
-                                _raster_from_vector(np.sqrt(est.intensity), grid))
-        files.append("intensity_sqrt.csv")
+        fields["intensity_sqrt.csv"] = np.sqrt(est.intensity)
+    for name, vec in fields.items():
+        _write_field(args.out, name, vec, grid)
     _write_json(os.path.join(args.out, "predict.json"),
-                {"k": k, "files": files,
+                {"k": k, "files": list(fields),
                  "runtime_seconds": time.perf_counter() - t0})
     print(f"posterior intensity -> {args.out}")
     return 0
 
 
 def cmd_score(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, ("grid", "points_csv", "covariates_csv", "fit", "train_fraction",
-                      "k", "split_seed", "plugin_intensity", "log_lambda_true_csv"),
-                ("grid", "points_csv"), "score config")
-    grid = _grid_from_doc(doc["grid"])
     where = "score config"
+    doc, grid = _open_config(args, where,
+                             ("points_csv", "covariates_csv", "fit", "train_fraction", "k",
+                              "split_seed", "plugin_intensity", "log_lambda_true_csv"),
+                             ("points_csv",))
     split_seed = (args.seed if args.seed is not None
                   else _number(doc, "split_seed", where, integer=True, least=0, default=0))
     fraction = _number(doc, "train_fraction", where, default=0.9)
@@ -318,35 +310,33 @@ def cmd_score(args) -> int:
 
 def cmd_covariates(args) -> int:
     t0 = time.perf_counter()
-    doc = _load_config(args.config)
-    _check_keys(doc, ("grid", "stack", "counts_csv", "extra_rasters"),
-                ("grid", "stack", "counts_csv"), "covariates config")
-    grid = _grid_from_doc(doc["grid"])
+    where = "covariates config"
+    doc, grid = _open_config(args, where, ("stack", "counts_csv", "extra_rasters"),
+                             ("stack", "counts_csv"))
     stack = MinuteStack(_read(slemio.read_minute_stack, doc["stack"], grid), grid)
     Y = _read_counts(doc["counts_csv"], grid)
-    delta = grid.delta()
 
-    diffs, means = block_summaries(stack)
-    report = {}
-    chosen = {}
-    for family, blocks in (("x1", diffs), ("x2", means)):
+    report, columns, names = {}, [], []
+    for family, blocks in zip(("x1", "x2"), block_summaries(stack)):
         cands = [summarize_blocks(blocks, fn) for fn in SUMMARY_FNS]
-        idx, lls = select_summary(Y, delta, cands)
-        chosen[family] = (SUMMARY_FNS[idx], cands[idx])
+        idx, lls = select_summary(Y, grid.delta(), cands)
         report[family] = {"chosen": SUMMARY_FNS[idx],
                           "log_likelihood": dict(zip(SUMMARY_FNS, map(float, lls)))}
+        columns.append(cands[idx])
+        names.append(f"{family}_{SUMMARY_FNS[idx]}")
 
-    columns = [chosen["x1"][1], chosen["x2"][1]]
-    names = [f"x1_{chosen['x1'][0]}", f"x2_{chosen['x2'][0]}"]
-    for name, path in sorted((doc.get("extra_rasters") or {}).items()):
-        columns.append(_read(slemio.read_raster_csv, path))
+    extras = doc.get("extra_rasters") or {}
+    if not isinstance(extras, dict):
+        raise ConfigError(f"{where}: extra_rasters must be an object, got {extras!r}")
+    for name, path in sorted(extras.items()):
+        columns.append(_read_raster(path, grid))
         names.append(name)
     design = standardize(columns, grid, names=names)
     report["n_imputed"] = design.n_imputed
     report["runtime_seconds"] = time.perf_counter() - t0
 
     for name, col in zip(names, columns):
-        slemio.write_raster_csv(os.path.join(args.out, f"{name}.csv"), np.asarray(col, float))
+        slemio.write_raster_csv(os.path.join(args.out, f"{name}.csv"), col)
     slemio.write_matrix_csv(os.path.join(args.out, "X.csv"), design.X, list(design.names))
     _write_json(os.path.join(args.out, "selection.json"), report)
     print(f"selected {names[0]} and {names[1]}; design with "

@@ -16,7 +16,8 @@ from .errors import ConfigError, NumericalError
 from .grid import GridSpec, flatten
 
 BLOCK_LEN = 10
-SUMMARY_FNS = ("avg", "min", "max", "range")
+_REDUCERS = {"avg": np.mean, "min": np.min, "max": np.max, "range": np.ptp}
+SUMMARY_FNS = tuple(_REDUCERS)
 
 
 @dataclass(frozen=True)
@@ -68,32 +69,17 @@ def block_summaries(stack: MinuteStack):
     Returns (diffs, means), each (n_blocks, n1, n2).  A pixel missing in any
     frame of a block is missing in that block's summaries.
     """
-    B = stack.n_blocks
-    fr = stack.frames
-    diffs = np.empty((B, fr.shape[1], fr.shape[2]))
-    means = np.empty_like(diffs)
-    for b in range(B):
-        block = fr[b * BLOCK_LEN:(b + 1) * BLOCK_LEN]
-        diffs[b] = block[-1] - block[0]
-        means[b] = block.mean(axis=0)  # NaN propagates, as it should
-        missing = np.isnan(block).any(axis=0)
-        diffs[b][missing] = np.nan
-        means[b][missing] = np.nan
-    return diffs, means
+    blocks = stack.frames.reshape(stack.n_blocks, BLOCK_LEN, *stack.frames.shape[1:])
+    diffs = blocks[:, -1] - blocks[:, 0]
+    diffs[np.isnan(blocks).any(axis=1)] = np.nan
+    return diffs, blocks.mean(axis=1)  # NaN propagates into the mean
 
 
 def summarize_blocks(blocks: np.ndarray, fn: str) -> np.ndarray:
     """Collapse (B, n1, n2) block rasters across blocks with avg/min/max/range."""
     if fn not in SUMMARY_FNS:
         raise ConfigError(f"summary fn must be one of {SUMMARY_FNS}, got {fn!r}")
-    blocks = np.asarray(blocks, dtype=float)
-    if fn == "avg":
-        return blocks.mean(axis=0)
-    if fn == "min":
-        return blocks.min(axis=0)
-    if fn == "max":
-        return blocks.max(axis=0)
-    return blocks.max(axis=0) - blocks.min(axis=0)
+    return _REDUCERS[fn](np.asarray(blocks, dtype=float), axis=0)
 
 
 # ---------------------------------------------------------------------------

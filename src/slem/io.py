@@ -32,12 +32,10 @@ def write_raster_csv(path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise ConfigError(f"raster must be 2-D, got shape {values.shape}")
     n1, n2 = values.shape
-    as_int = np.issubdtype(values.dtype, np.integer)
     with open(path, "w") as fh:
         fh.write(f"# n1={n1} n2={n2}\n")
-        for i in range(n1):
-            row = values[i]
-            fh.write(",".join(str(int(v)) if as_int else _fmt(v) for v in row) + "\n")
+        for row in values:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _field(text: str, path, ln) -> float:

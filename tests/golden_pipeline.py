@@ -1,9 +1,9 @@
 """One fixed 16x16 end-to-end pipeline used for regression pinning.
 
 simulate -> grid -> fit -> predict -> score -> covariates, all through the
-CLI entry point with a frozen scenario.  `run_all` executes it under any root directory; the stored
-copy of its outputs lives in tests/golden/expected and is refreshed by
-scripts/make_golden.py.
+CLI entry point with a frozen scenario.  `run_all` executes it under any
+root directory; the stored copy of its outputs lives in
+tests/golden/expected and is refreshed by scripts/make_golden.py.
 """
 import json
 import os

@@ -357,6 +357,26 @@ def test_covariates_pipeline(tmp_path):
     np.testing.assert_allclose(X[:, 1:].mean(axis=0), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["raster_of_another_shape", "list"])
+def test_covariates_rejects_bad_extra_rasters(tmp_path, capsys, as_list):
+    # a 4x4 raster has a 2x8 grid's pixel count, and used to be standardized
+    # into X.csv in the wrong pixel order; a list used to end in a traceback
+    rng = np.random.default_rng(3)
+    write_minute_stack(tmp_path / "stack", rng.standard_normal((10, 2, 8)))
+    write_raster_csv(tmp_path / "counts.csv", rng.poisson(2.0, size=(2, 8)))
+    elev = str(tmp_path / "elev44.csv")
+    write_raster_csv(elev, rng.standard_normal((4, 4)))
+    cfg = write_config(tmp_path / "cov.json", {
+        "grid": grid_doc(2, 8), "stack": str(tmp_path / "stack"),
+        "counts_csv": str(tmp_path / "counts.csv"),
+        "extra_rasters": [elev] if as_list else {"elev": elev},
+    })
+    assert main(["covariates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    want = (f"covariates config: extra_rasters must be an object, got {[elev]!r}" if as_list
+            else f"{elev}: raster is 4x4, grid is 2x8")
+    assert capsys.readouterr().err.splitlines() == [f"config error: {want}"]
+
+
 # ---------------------------------------------------------------------------
 # entry point plumbing
 # ---------------------------------------------------------------------------
@@ -484,6 +504,19 @@ def test_counts_must_be_whole_and_present(tmp_path, capsys, field):
     assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config error: {counts}: counts must be finite integers"]
+
+
+def test_design_with_missing_value_names_its_file(tmp_path, capsys):
+    write_raster_csv(tmp_path / "counts.csv", np.ones((2, 2), dtype=int))
+    design = tmp_path / "X.csv"
+    design.write_text("intercept,x1\n1,0.1\n1,\n1,0.3\n1,0.4\n")
+    cfg = write_config(tmp_path / "c.json", {
+        "grid": grid_doc(2, 2), "counts_csv": str(tmp_path / "counts.csv"),
+        "covariates_csv": str(design),
+    })
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: {design}: design matrix has a non-finite entry in row 1"]
 
 
 def test_malformed_json_exits_one(tmp_path):
