@@ -32,6 +32,11 @@ from .spectral import (CovParams, amplitude_for_variance,
 # config plumbing
 # ---------------------------------------------------------------------------
 
+# config keys that name an input file; open() would take a JSON integer as a
+# file descriptor, so each must hold a string
+PATH_KEYS = ("points_csv", "counts_csv", "covariates_csv", "theta_json", "w_star_csv",
+             "log_lambda_true_csv", "stack")
+
 
 def _read(reader, path, *args):
     """reader(path, *args), with a file that cannot be read reported as a
@@ -84,11 +89,22 @@ def _grid_from_doc(doc, where="grid") -> GridSpec:
     return GridSpec(*(_number(doc, key, where, integer=key in keys[:2]) for key in keys))
 
 
+def _check_path(value, name):
+    """A config path must be a string; anything else is a config error
+    naming it."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+
+
 def _open_config(args, where, allowed, required):
     """(doc, grid) for the JSON config at args.config.  doc may hold only
-    'grid' and the allowed keys, and must hold 'grid' and the required ones."""
+    'grid' and the allowed keys, and must hold 'grid' and the required ones;
+    every path key it holds must be a string."""
     doc = _load_config(args.config)
     _check_keys(doc, ("grid", *allowed), ("grid", *required), where)
+    for key in PATH_KEYS:
+        if key in doc:
+            _check_path(doc[key], f"{where}: {key}")
     return doc, _grid_from_doc(doc["grid"])
 
 
@@ -313,11 +329,23 @@ def cmd_covariates(args) -> int:
     where = "covariates config"
     doc, grid = _open_config(args, where, ("stack", "counts_csv", "extra_rasters"),
                              ("stack", "counts_csv"))
+    extras = doc.get("extra_rasters") or {}
+    if not isinstance(extras, dict):
+        raise ConfigError(f"{where}: extra_rasters must be an object, got {extras!r}")
+    # each column is written as <name>.csv next to X.csv; a family column is
+    # <family>_<summary>, whichever summary the data pick
+    families = ("x1", "x2")
+    taken = {"X"} | {f"{family}_{fn}" for family in families for fn in SUMMARY_FNS}
+    for name, path in extras.items():
+        if name in taken or "/" in name or os.sep in name:
+            raise ConfigError(f"{where}: extra raster name {name!r} is another output's "
+                              f"name or holds a path separator")
+        _check_path(path, f"{where}: extra_rasters.{name}")
     stack = MinuteStack(_read(slemio.read_minute_stack, doc["stack"], grid), grid)
     Y = _read_counts(doc["counts_csv"], grid)
 
     report, columns, names = {}, [], []
-    for family, blocks in zip(("x1", "x2"), block_summaries(stack)):
+    for family, blocks in zip(families, block_summaries(stack)):
         cands = [summarize_blocks(blocks, fn) for fn in SUMMARY_FNS]
         idx, lls = select_summary(Y, grid.delta(), cands)
         report[family] = {"chosen": SUMMARY_FNS[idx],
@@ -325,9 +353,6 @@ def cmd_covariates(args) -> int:
         columns.append(cands[idx])
         names.append(f"{family}_{SUMMARY_FNS[idx]}")
 
-    extras = doc.get("extra_rasters") or {}
-    if not isinstance(extras, dict):
-        raise ConfigError(f"{where}: extra_rasters must be an object, got {extras!r}")
     for name, path in sorted(extras.items()):
         columns.append(_read_raster(path, grid))
         names.append(name)

@@ -1,10 +1,11 @@
 """Monte Carlo EM for the gridded Cox model.
 
 The fit starts from a Poisson GLM of the counts (glm_start) and iterates one
-EM map, em_step: (beta, eta, W) -> (beta', eta', W').  E-step: the Laplace
-mode of W at the current theta, plus Hutchinson probe pairs for the trace
-correction.  The probes' v's are drawn from config.seed on every map and
-only their solves u are redone, so the map is deterministic.  M-step:
+EM map, em_step: (beta, eta, W, U) -> (beta', eta', W', U').  E-step: the
+Laplace mode of W at the current theta, plus Hutchinson probe pairs for the
+trace correction.  The probes' v's are drawn from config.seed on every map,
+so the map is deterministic, and their solves U are warm-started from the
+previous map's, as the Newton iteration for W is.  M-step:
 generalized least squares for beta, then a profiled 1-D search over the range
 for eta.  The surrogate objective is
 
@@ -304,13 +305,15 @@ def _alpha_bounds(config: FitConfig, grid: GridSpec):
 
 
 def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovParams, W,
-            diagnostics: dict):
-    """One EM map (beta, eta, W) -> (beta', eta', W', Q_inc, Q_new).
+            diagnostics: dict, U=None):
+    """One EM map (beta, eta, W, U) -> (beta', eta', W', U', Q_inc, Q_new).
 
     E-step: the Laplace mode from W and the M probe pairs, whose v's come from
     config.seed on every map, so the map is a deterministic function of its
-    input.  M-step: the GLS beta (joint scheme only) and the range search,
-    each kept only when it does not lower Q, so Q_new >= Q_inc.
+    input.  Their solves U' start from the (M, n) array U, the previous map's
+    solves, or from zero if U is None.  M-step: the GLS beta (joint scheme
+    only) and the range search, each kept only when it does not lower Q, so
+    Q_new >= Q_inc.
     """
     f = quasi_matern_spectrum(eta, grid)
     Xbeta = X @ beta
@@ -320,7 +323,9 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
     W = lap.mode
     if not lap.converged:
         diagnostics["newton_nonconverged"] = diagnostics.get("newton_nonconverged", 0) + 1
-    probes = make_probes(config.M, grid.n, config.seed, f, lap.c_diag, config.eps_pcg)
+    probes = make_probes(config.M, grid.n, config.seed, f, lap.c_diag, config.eps_pcg, U)
+    diagnostics["probe_pcg_iterations"] = (diagnostics.get("probe_pcg_iterations", 0)
+                                           + probes.pcg_iterations)
     if not probes.solve_converged.all():
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
     probe_part = probe_spectrum(probes, grid)
@@ -342,7 +347,7 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
         eta = eta_cand
     else:
         q_new = q_mid
-    return beta, eta, W, q_inc, q_new
+    return beta, eta, W, probes.u, q_inc, q_new
 
 
 def squarem(F, x, state, lo, hi, eps, max_maps):
@@ -431,8 +436,9 @@ def glm_start(Y: CountGrid, X, grid: GridSpec, bounds):
 
 def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     """EM from the Poisson-GLM start (glm_start), accelerated by SQUAREM on
-    theta = (beta, log sigma2, log alpha), then one Newton refresh of the
-    mode at the final theta.
+    theta = (beta, log sigma2, log alpha) with the mode W and the probe
+    solves U as state, then one Newton refresh of the mode at the final
+    theta.
 
     X is an n x (p+1) design with intercept first, or None (equivalently, an
     (n, 0) array) for a covariance-only model.  Converged means the RMS step
@@ -447,16 +453,18 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
 
     rows = []
 
-    def em_map(x, W):
-        beta, eta, W, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W, diagnostics)
+    def em_map(x, state):
+        W, U = state
+        beta, eta, W, U, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W,
+                                                diagnostics, U)
         rows.append((q_inc, q_new))
-        return _pack(beta, eta), W
+        return _pack(beta, eta), (W, U)
 
     p = X.shape[1]
     lo = np.r_[np.full(p, -np.inf), np.log(SIGMA2_FLOOR), np.log(bounds[0])]
     hi = np.r_[np.full(p, np.inf), np.inf, np.log(bounds[1])]
-    x, W, iterations, converged, rejects = squarem(
-        em_map, _pack(beta, eta), W, lo, hi, config.eps_em, config.max_em)
+    x, (W, _), iterations, converged, rejects = squarem(
+        em_map, _pack(beta, eta), (W, None), lo, hi, config.eps_em, config.max_em)
     diagnostics["squarem_rejects"] = rejects
     beta, eta = _unpack(x)
 

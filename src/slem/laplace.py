@@ -100,6 +100,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
         iterations += 1
         score = posterior_score(W, Y, delta, Xbeta, f, diagnostics=diag)
         sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg)
+        diag["newton_pcg_iterations"] = diag.get("newton_pcg_iterations", 0) + sol.iterations
         if not sol.converged:
             diag["pcg_nonconverged"] = diag.get("pcg_nonconverged", 0) + 1
 

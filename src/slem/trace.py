@@ -1,11 +1,14 @@
 """Hutchinson probe pairs for the E-step trace term.
 
 The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
-solved once per EM iteration.  There is no estimator here: the M-step
-transforms the pairs once per iteration (em.probe_spectrum) and adds that
-spectrum to the power spectrum of each residual it prices, after which the
-trace (1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum
-over frequencies with no FFT.
+solved once per EM iteration.  The v's are the same on every map, so each
+solve starts from the previous map's u_i (make_probes' u0), which the change
+in (Sigma_t, C) between maps leaves a few PCG iterations from the new
+solution.  There is no estimator here: the M-step transforms the pairs once
+per iteration (em.probe_spectrum) and adds that spectrum to the power
+spectrum of each residual it prices, after which the trace
+(1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum over
+frequencies with no FFT.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ class ProbePairs:
     v: np.ndarray  # (M, n) Rademacher probes
     u: np.ndarray  # (M, n) solves against the fixed posterior precision
     solve_converged: np.ndarray  # (M,) bool
+    pcg_iterations: int = 0  # total over the M solves
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
@@ -43,19 +47,25 @@ class ProbePairs:
 
 
 def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
-                eps_pcg: float = 1e-3) -> ProbePairs:
-    """Draw M Rademacher probes and solve (Sigma_t^{-1} + C) u = v for each."""
+                eps_pcg: float = 1e-3, u0=None) -> ProbePairs:
+    """Draw M Rademacher probes and solve (Sigma_t^{-1} + C) u = v for each,
+    PCG starting from row i of the (M, n) array u0, or from zero if u0 is
+    None."""
     if M < 1:
         raise ConfigError(f"probe count M must be >= 1, got {M}")
     if n != f_t.n:
         raise ConfigError(f"probe length {n} does not match spectrum size {f_t.n}")
+    if u0 is not None and np.shape(u0) != (M, n):
+        raise ConfigError(f"probe start must be ({M}, {n}), got {np.shape(u0)}")
     rng = np.random.default_rng(seed)
     v = 2.0 * rng.integers(0, 2, size=(M, n)).astype(float) - 1.0
     op = precision_operator(f_t, np.asarray(c_diag, dtype=float))
     u = np.empty_like(v)
     ok = np.empty(M, dtype=bool)
+    iterations = 0
     for i in range(M):
-        sol = pcg_solve(op, v[i], epsilon=eps_pcg)
+        sol = pcg_solve(op, v[i], x0=None if u0 is None else u0[i], epsilon=eps_pcg)
         u[i] = sol.x
         ok[i] = sol.converged
-    return ProbePairs(v, u, ok)
+        iterations += sol.iterations
+    return ProbePairs(v, u, ok, iterations)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -377,6 +378,28 @@ def test_covariates_rejects_bad_extra_rasters(tmp_path, capsys, as_list):
     assert capsys.readouterr().err.splitlines() == [f"config error: {want}"]
 
 
+@pytest.mark.parametrize("name", ["X", "x1_min", "x2_range", "sub/elev"]
+                         + ([f"sub{os.sep}elev"] if os.sep != "/" else []))
+def test_covariates_rejects_extra_names_that_are_not_file_names(tmp_path, capsys, name):
+    # "X" used to be overwritten by the design X.csv, exiting 0, and a name
+    # with a separator was joined to --out unchecked
+    rng = np.random.default_rng(3)
+    write_minute_stack(tmp_path / "stack", rng.standard_normal((10, 2, 8)))
+    write_raster_csv(tmp_path / "counts.csv", rng.poisson(2.0, size=(2, 8)))
+    elev = str(tmp_path / "elev.csv")
+    write_raster_csv(elev, rng.standard_normal((2, 8)))
+    cfg = write_config(tmp_path / "cov.json", {
+        "grid": grid_doc(2, 8), "stack": str(tmp_path / "stack"),
+        "counts_csv": str(tmp_path / "counts.csv"), "extra_rasters": {name: elev},
+    })
+    out = tmp_path / "o"
+    assert main(["covariates", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: covariates config: extra raster name {name!r} is another output's "
+        f"name or holds a path separator"]
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # entry point plumbing
 # ---------------------------------------------------------------------------
@@ -422,6 +445,35 @@ def test_missing_input_file_exits_one(tmp_path, capsys, command, key):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: cannot read {missing}: ")
+
+
+NON_STRING_PATHS = [("fit", "counts_csv", 0), ("fit", "covariates_csv", None),
+                    ("predict", "theta_json", 0), ("predict", "w_star_csv", 1.5),
+                    ("score", "points_csv", ["p.csv"]), ("score", "log_lambda_true_csv", True),
+                    ("grid", "points_csv", {"path": "p.csv"}), ("covariates", "stack", 0),
+                    ("covariates", "extra_rasters.elev", 0)]
+
+
+@pytest.mark.parametrize("command,key,value", NON_STRING_PATHS)
+def test_config_paths_must_be_strings(tmp_path, capsys, command, key, value):
+    # open() takes a JSON integer as a file descriptor: "counts_csv": 0 used
+    # to make `slem fit` read its counts from standard input and exit 0
+    path = str(tmp_path / "exists.csv")
+    doc = {"grid": grid_doc(8, 8), **{
+        "fit": {"counts_csv": path},
+        "predict": {"theta_json": path, "w_star_csv": path},
+        "score": {"points_csv": path},
+        "grid": {"points_csv": path},
+        "covariates": {"stack": path, "counts_csv": path},
+    }[command]}
+    if key.startswith("extra_rasters."):
+        doc["extra_rasters"] = {key.split(".")[1]: value}
+    else:
+        doc[key] = value
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {command} config: {key} must be a path string, got {value!r}"]
 
 
 BAD_NUMBERS = [

@@ -14,7 +14,7 @@ from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
                   quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
                   simulate_dataset, unflatten, update_beta,
                   update_eta)
-from slem import em
+from slem import em, laplace, trace
 from slem.em import _pack, em_step, glm_start, quartic_profile, squarem
 
 GRID6 = GridSpec.unit(6, 6)
@@ -403,18 +403,65 @@ def test_probes_are_transformed_once_per_em_iteration(monkeypatch):
 
 
 def test_probes_are_drawn_from_config_seed_on_every_map(monkeypatch):
-    # common random probes: every EM map solves against the same v's
+    # common random probes: every EM map solves against the same v's, and
+    # each map after the first starts its solves from the previous map's u
     Y, X, grid = small_dataset(seed=8)
-    seeds = []
+    calls = []
     real = em.make_probes
 
-    def recording(M, n, seed, *args):
-        seeds.append(seed)
-        return real(M, n, seed, *args)
+    def recording(M, n, seed, f_t, c_diag, eps_pcg, u0=None):
+        probes = real(M, n, seed, f_t, c_diag, eps_pcg, u0)
+        calls.append((seed, u0, probes.u))
+        return probes
 
     monkeypatch.setattr(em, "make_probes", recording)
     res = fit(Y, X, grid, FitConfig(max_em=7, eps_em=1e-300, seed=11))
-    assert seeds == [11] * res.em_iterations == [11] * 7
+    assert [seed for seed, _, _ in calls] == [11] * res.em_iterations == [11] * 7
+    # a rejected extrapolation would hand the next map an older map's u
+    assert res.diagnostics["squarem_rejects"] == 0
+    assert calls[0][1] is None
+    for (_, _, u_prev), (_, u0, _) in zip(calls, calls[1:]):
+        assert u0 is u_prev
+
+
+def test_diagnostics_total_pcg_iterations_per_kind(monkeypatch):
+    Y, X, grid = small_dataset(seed=8)
+    seen = {"newton": 0, "probe": 0}
+
+    def counting(kind, solve):
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            seen[kind] += sol.iterations
+            return sol
+        return counted
+
+    monkeypatch.setattr(laplace, "pcg_solve", counting("newton", laplace.pcg_solve))
+    monkeypatch.setattr(trace, "pcg_solve", counting("probe", trace.pcg_solve))
+    res = fit(Y, X, grid, FitConfig(M=2, max_em=6, seed=0))
+    assert res.diagnostics["newton_pcg_iterations"] == seen["newton"] > 0
+    assert res.diagnostics["probe_pcg_iterations"] == seen["probe"] > 0
+
+
+def test_warm_started_fit_is_as_close_to_a_tight_solve_as_a_cold_one(monkeypatch):
+    # at the loose PCG stop the fixed point moves with how each probe solve
+    # starts; on a single dataset either start can land closer to the
+    # eps_pcg = 1e-10 fit, so the comparison is the mean over datasets
+    real = em.make_probes
+
+    def theta(Y, X, grid, config):
+        res = fit(Y, X, grid, config)
+        assert res.converged
+        return _pack(res.theta_star.beta, res.theta_star.eta)
+
+    warm, cold = [], []
+    for seed in range(6):
+        Y, X, grid = small_dataset(seed=seed, n1=16)
+        tight = theta(Y, X, grid, FitConfig(seed=0, eps_pcg=1e-10))
+        warm.append(np.max(np.abs(theta(Y, X, grid, FitConfig(seed=0)) - tight)))
+        monkeypatch.setattr(em, "make_probes", lambda *args: real(*args[:6]))
+        cold.append(np.max(np.abs(theta(Y, X, grid, FitConfig(seed=0)) - tight)))
+        monkeypatch.setattr(em, "make_probes", real)
+    assert np.mean(warm) <= np.mean(cold)
 
 
 def test_converged_fit_is_a_fixed_point():

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_posterior_precision, dense_trace, trace_term
-from slem import (CovParams, GridSpec, ProbePairs, make_probes,
-                  quasi_matern_spectrum, sigma_matvec)
+from slem import (ConfigError, CovParams, GridSpec, ProbePairs, make_probes,
+                  quasi_matern_spectrum, sigma_matvec, trace)
 
 GRID8 = GridSpec.unit(8, 8)
 ETA_T = CovParams(1.5, 3.0)
@@ -48,6 +48,35 @@ def test_huge_curvature_makes_u_diagonal():
     c = np.full(64, 1e12)
     probes = make_probes(3, 64, seed=2, f_t=f_t, c_diag=c)
     np.testing.assert_allclose(probes.u, probes.v / c, rtol=1e-6, atol=1e-15)
+
+
+def test_warm_start_from_a_tight_solution_stops_at_once(monkeypatch):
+    # the EM passes each map the previous map's u; started at a solution,
+    # every solve returns within one PCG iteration and stays at it
+    f_t, c = standard_instance(2)
+    tight = make_probes(4, 64, seed=5, f_t=f_t, c_diag=c, eps_pcg=1e-10)
+    iterations = []
+    real = trace.pcg_solve
+
+    def recording(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(trace, "pcg_solve", recording)
+    warm = make_probes(4, 64, seed=5, f_t=f_t, c_diag=c, u0=tight.u)
+    assert len(iterations) == 4 and max(iterations) <= 1
+    assert warm.pcg_iterations == sum(iterations)
+    np.testing.assert_array_equal(warm.v, tight.v)
+    assert np.max(np.abs(warm.u - tight.u)) <= 1e-3
+    assert warm.solve_converged.all()
+
+
+@pytest.mark.parametrize("shape", [(3, 64), (4, 63), (64,), (1, 4, 64)])
+def test_probe_start_of_the_wrong_shape_is_rejected(shape):
+    f_t, c = standard_instance()
+    with pytest.raises(ConfigError, match="probe start"):
+        make_probes(4, 64, seed=0, f_t=f_t, c_diag=c, u0=np.zeros(shape))
 
 
 def test_probe_pairs_validation():
