@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, NumericalError
-from .grid import GridSpec, flatten
+from .grid import GridSpec, flatten, log_factorial
 
 BLOCK_LEN = 10
 _REDUCERS = {"avg": np.mean, "min": np.min, "max": np.max, "range": np.ptp}
@@ -115,7 +114,7 @@ def _poisson_irls(y, delta, D, max_iter=50, tol=1e-8, ridge=1e-8):
         dev = dev_new
         if converged:
             break
-    ll = float(np.sum(y * np.log(np.maximum(mu, 1e-300)) - mu - special.gammaln(y + 1.0)))
+    ll = float(np.sum(y * np.log(np.maximum(mu, 1e-300)) - mu - log_factorial(y)))
     return coef, ll
 
 

@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import CollinearityError, ConfigError, NumericalError
 from .grid import CountGrid, GridSpec, unflatten
@@ -205,15 +204,17 @@ def update_beta(W_mode, X, f_t: SpectralField) -> np.ndarray:
     A = 0.5 * (A + A.T)
     b = S.T @ W_mode
     if not np.all(np.isfinite(A)) or np.linalg.cond(A) > 1e12:
+        columns = _dependent_columns(X)
         raise CollinearityError(
-            f"GLS normal matrix is singular; dependent columns: {_dependent_columns(X)}",
-            columns=_dependent_columns(X),
-        )
+            f"GLS normal matrix is singular; dependent columns: {columns}", columns=columns)
     return np.linalg.solve(A, b)
 
 
 def _dependent_columns(X):
-    # pivoted QR: columns whose R diagonal collapses are the dependent ones
+    # pivoted QR: columns whose R diagonal collapses are the dependent ones.
+    # numpy's QR does not pivot; this runs only on the way to an error.
+    from scipy import linalg as sla
+
     _, R, piv = sla.qr(X, mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
     bad = d <= d[0] * 1e-10 if d.size and d[0] > 0 else np.ones_like(d, dtype=bool)

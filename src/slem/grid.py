@@ -7,6 +7,7 @@ entry of a vector is which pixel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,31 @@ class PointPattern:
         return self.points.shape[0]
 
 
+def check_counts(vals) -> np.ndarray:
+    """The one rule for event counts: finite, whole and non-negative.
+    Returns the counts as an integer array; anything else is a ConfigError."""
+    vals = np.asarray(vals)
+    if not np.issubdtype(vals.dtype, np.integer):
+        if not np.all(np.isfinite(vals)) or np.any(vals != np.round(vals)):
+            raise ConfigError("counts must be finite integers")
+        vals = vals.astype(np.int64)
+    if np.any(vals < 0):
+        raise ConfigError("counts must be non-negative")
+    return vals
+
+
+def log_factorial(counts) -> np.ndarray:
+    """log(y!) for each count y, checked by check_counts.
+
+    math.lgamma runs once per distinct count: event counts repeat heavily,
+    so this is a handful of scalar calls, and it keeps scipy.special off the
+    import path.
+    """
+    values, index = np.unique(check_counts(counts), return_inverse=True)
+    table = np.fromiter((math.lgamma(v + 1.0) for v in values.tolist()), float, values.size)
+    return table[index].reshape(np.shape(counts))
+
+
 @dataclass(frozen=True)
 class CountGrid:
     """Per-pixel event counts on a GridSpec lattice."""
@@ -110,13 +136,7 @@ class CountGrid:
             raise ConfigError(
                 f"count grid shape {vals.shape} does not match grid {self.grid.n1}x{self.grid.n2}"
             )
-        if not np.issubdtype(vals.dtype, np.integer):
-            if not np.all(np.isfinite(vals)) or np.any(vals != np.round(vals)):
-                raise ConfigError("counts must be finite integers")
-            vals = vals.astype(np.int64)
-        if np.any(vals < 0):
-            raise ConfigError("counts must be non-negative")
-        vals = vals.copy()
+        vals = check_counts(vals).copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid
 from .pcg import SpdOperator, pcg_solve
-from .spectral import SpectralField, _filter, inverse_base_row, sigma_inv_matvec
+from .spectral import SpectralField, _filter, sigma_inv_matvec
 
 EXP_CLAMP = 50.0  # exp argument cap; anything above is already astronomical
 
@@ -49,7 +49,7 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
         raise ConfigError(f"curvature shape {c_diag.shape} does not match grid size {f.n}")
     if not np.all(np.isfinite(c_diag)) or np.any(c_diag < 0):
         raise NumericalError("curvature entries must be finite and non-negative")
-    inv0 = inverse_base_row(f)[0]
+    inv0 = f.inv_row[0]
     c_bar = float(np.mean(c_diag))
     scale = np.sqrt((inv0 + c_bar) / (inv0 + c_diag))
     middle = 1.0 / (f.inv_half + c_bar)
@@ -62,16 +62,23 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
 def posterior_score(W, Y: CountGrid, delta, Xbeta, f: SpectralField, diagnostics=None):
     """Gradient of the W-posterior: Y - Delta exp(W) - Sigma^{-1}(W - X beta)."""
     W = np.asarray(W, dtype=float)
+    return _score(W, Y.vector(), delta, sigma_inv_matvec(f, W - Xbeta), diagnostics)
+
+
+def _score(W, y_vec, delta, prior_pull, diagnostics):
+    """posterior_score given prior_pull = Sigma^{-1}(W - X beta)."""
     clamped = int(np.sum(W > EXP_CLAMP))
     if diagnostics is not None and clamped:
         diagnostics["clamp_events"] = diagnostics.get("clamp_events", 0) + clamped
-    return Y.vector() - delta * clamped_exp(W) - sigma_inv_matvec(f, W - Xbeta)
+    return y_vec - delta * clamped_exp(W) - prior_pull
 
 
-def log_posterior(W, y_vec, delta, Xbeta, f: SpectralField) -> float:
-    """log p(W | Y, theta) up to an additive constant."""
+def log_posterior(W, y_vec, delta, Xbeta, f: SpectralField):
+    """log p(W | Y, theta) up to an additive constant, and Sigma^{-1}(W - X beta),
+    which the score at the same W reuses."""
     q = W - Xbeta
-    return float(np.sum(y_vec * W - delta * clamped_exp(W)) - 0.5 * (q @ sigma_inv_matvec(f, q)))
+    prior_pull = sigma_inv_matvec(f, q)
+    return float(np.sum(y_vec * W - delta * clamped_exp(W)) - 0.5 * (q @ prior_pull)), prior_pull
 
 
 def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
@@ -81,7 +88,9 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
 
     Each step solves (Sigma^{-1} + C) step = score by PCG; a full step that
     decreases the log posterior is halved up to 10 times.  Stops when
-    n^{-1/2} ||W_{l+1} - W_l|| < epsilon.
+    n^{-1/2} ||W_{l+1} - W_l|| < epsilon.  The score at an accepted W reuses
+    the Sigma^{-1} transform its log posterior already made, so each
+    evaluation of the posterior costs one transform pair.
     """
     y_vec = Y.vector()
     delta = np.asarray(delta, dtype=float)
@@ -90,7 +99,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     W = Xbeta.copy() if W_init is None else np.asarray(W_init, dtype=float).copy()
     diag = diagnostics if diagnostics is not None else {}
 
-    obj = log_posterior(W, y_vec, delta, Xbeta, f)
+    obj, prior_pull = log_posterior(W, y_vec, delta, Xbeta, f)
     if not np.isfinite(obj):
         raise NumericalError("log posterior not finite at the Newton starting value")
 
@@ -98,7 +107,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     iterations = 0
     for _ in range(max_newton):
         iterations += 1
-        score = posterior_score(W, Y, delta, Xbeta, f, diagnostics=diag)
+        score = _score(W, y_vec, delta, prior_pull, diag)
         sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg)
         diag["newton_pcg_iterations"] = diag.get("newton_pcg_iterations", 0) + sol.iterations
         if not sol.converged:
@@ -110,7 +119,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
         slack = 1e-12 * (1.0 + abs(obj))  # fp headroom so tiny steps near the mode still land
         for _ in range(10):
             W_new = W + t * step
-            obj_new = log_posterior(W_new, y_vec, delta, Xbeta, f)
+            obj_new, pull_new = log_posterior(W_new, y_vec, delta, Xbeta, f)
             if np.isfinite(obj_new) and obj_new >= obj - slack:
                 accepted = True
                 break
@@ -120,7 +129,7 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
             break  # cannot improve; keep current W, report non-convergence
 
         diff_rms = np.linalg.norm(W_new - W) / np.sqrt(n)
-        W, obj = W_new, obj_new
+        W, obj, prior_pull = W_new, obj_new, pull_new
         if diff_rms < epsilon:
             converged = True
             break

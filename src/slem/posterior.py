@@ -15,7 +15,7 @@ from .em import design_matrix
 from .errors import ConfigError, NumericalError
 from .grid import GridSpec
 from .laplace import clamped_exp
-from .spectral import SpectralField, inverse_base_row
+from .spectral import SpectralField
 
 BATCH = 2048  # pixels per stacked factorization batch
 
@@ -71,8 +71,7 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
         raise ConfigError(f"k must be odd and within 1..min(n1, n2) = {min(n1, n2)}, got {k}")
 
     grid = GridSpec.unit(n1, n2)
-    inv_row = inverse_base_row(f_star)
-    inv_lags = inv_row.reshape((n1, n2), order="F")
+    inv_lags = f_star.inv_row.reshape((n1, n2), order="F")
     nbr, o1, o2 = _neighbor_indices(grid, k)
     # Sigma^{-1} restricted to the neighborhood: depends only on offset lags
     prior_block = inv_lags[(o1[:, None] - o1[None, :]) % n1, (o2[:, None] - o2[None, :]) % n2]

@@ -4,10 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError
-from .grid import GridSpec
+from .grid import GridSpec, log_factorial
 
 DEFAULT_SCALE = 1.0 / 9.0  # test fraction 0.1 over train fraction 0.9
 
@@ -33,6 +32,8 @@ def log_score(Y_test, lambda_hat, delta, scale: float = DEFAULT_SCALE) -> float:
 
     sum_i Y_i (log Delta_i + log lambda_i + log scale)
           - scale Delta_i lambda_i - log Y_i!
+
+    Counts that are not finite, whole and non-negative are a ConfigError.
     """
     y = Y_test.vector() if hasattr(Y_test, "vector") else np.asarray(Y_test, dtype=float)
     lam = np.asarray(lambda_hat, dtype=float)
@@ -46,7 +47,7 @@ def log_score(Y_test, lambda_hat, delta, scale: float = DEFAULT_SCALE) -> float:
     return float(
         np.sum(y * (np.log(delta) + np.log(lam) + np.log(scale))
                - scale * delta * lam
-               - special.gammaln(y + 1.0))
+               - log_factorial(y))
     )
 
 

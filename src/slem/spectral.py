@@ -11,11 +11,15 @@ default), hence
 
 Every operator is one real transform pair, iDFT(h . DFT(v)), with h the
 spectrum of the operator on the rfft2 half plane: f for Sigma, 1/f for
-Sigma^{-1}, sqrt(f) for sampling.  SpectralField owns that layout (its half
-and inv_half, cut once per field) and _filter is the one transform pair, so
-results are exactly real; the symmetry of f under frequency negation (which
-makes that legitimate) is a hard construction-time invariant of
-SpectralField.
+Sigma^{-1}, sqrt(f) for sampling.  SpectralField owns that layout (its half,
+inv_half and Sigma^{-1}'s base row inv_row, each computed once per field)
+and _filter is the one transform pair, so results are exactly real; the
+symmetry of f under frequency negation (which makes that legitimate) is a
+hard construction-time invariant of SpectralField.
+
+Everything here needs numpy only, except the Matern reference
+(matern_correlation, hence calibrate_range_to_matern), which imports
+scipy.special for the Bessel function K_nu when it is first called.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, NumericalError
 from .grid import GridSpec, flatten, unflatten
@@ -81,6 +84,13 @@ class SpectralField:
         inv = 1.0 / self.half
         inv.flags.writeable = False
         return inv
+
+    @cached_property
+    def inv_row(self):
+        """First row of Sigma^{-1}: the inverse transform of 1/f."""
+        row = flatten(np.fft.irfft2(self.inv_half, s=self.shape))
+        row.flags.writeable = False
+        return row
 
 
 def frequency_sines(grid: GridSpec) -> np.ndarray:
@@ -159,8 +169,8 @@ def sample_gp(f: SpectralField, seed: int) -> np.ndarray:
 
 
 def inverse_base_row(f: SpectralField) -> np.ndarray:
-    """First row of Sigma^{-1}: the inverse transform of 1/f."""
-    return flatten(np.fft.irfft2(f.inv_half, s=f.shape))
+    """First row of Sigma^{-1} (SpectralField.inv_row, computed once per field)."""
+    return f.inv_row
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,8 @@ def inverse_base_row(f: SpectralField) -> np.ndarray:
 
 def matern_correlation(h, range_, nu=1.0):
     """2^(1-nu)/Gamma(nu) (h/a)^nu K_nu(h/a), with rho(0) = 1."""
+    from scipy import special  # only range calibration needs K_nu
+
     h = np.asarray(h, dtype=float)
     t = h / range_
     out = np.ones_like(t)

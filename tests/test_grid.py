@@ -3,9 +3,11 @@ import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from slem import (ConfigError, CountGrid, GridSpec, PointPattern, bin_points,
                   domain_mask, flatten, split_train_test, unflatten)
+from slem.grid import log_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,25 @@ def test_countgrid_validation(values):
 def test_countgrid_accepts_integral_floats():
     Y = CountGrid(np.array([[1.0, 0.0], [2.0, 3.0]]), GridSpec.unit(2, 2))
     assert Y.values.dtype == np.int64
+
+
+def test_log_factorial_matches_gammaln_on_every_count_to_1e5():
+    y = np.arange(100_001, dtype=float)
+    np.testing.assert_allclose(log_factorial(y), gammaln(y + 1.0), rtol=1e-15, atol=0.0)
+
+
+def test_log_factorial_of_repeated_counts_keeps_order_and_shape():
+    y = np.random.default_rng(0).poisson(3.0, size=(40, 25))
+    got = log_factorial(y)
+    assert got.shape == y.shape
+    np.testing.assert_allclose(got, gammaln(y + 1.0), rtol=1e-15, atol=0.0)
+    assert log_factorial(np.array([], dtype=float)).shape == (0,)
+
+
+@pytest.mark.parametrize("values", [[1.0, -1.0], [np.nan, 0.0], [2.5, 1.0]])
+def test_log_factorial_applies_the_count_rule(values):
+    with pytest.raises(ConfigError):
+        log_factorial(np.array(values))
 
 
 # ---------------------------------------------------------------------------

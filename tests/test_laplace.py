@@ -5,7 +5,8 @@ from scipy.optimize import bisect
 from oracles import dense_log_posterior, dense_newton_mode, dense_sigma_inv
 from slem import (CountGrid, CovParams, GridSpec, newton_mode, posterior_score,
                   quasi_matern_spectrum, unflatten)
-from slem.laplace import EXP_CLAMP, clamped_exp, log_posterior
+from slem import laplace
+from slem.laplace import EXP_CLAMP, clamped_exp, log_posterior, precision_operator
 
 
 def make_instance(grid, eta, beta0=0.2, seed=0):
@@ -135,8 +136,63 @@ def test_objective_non_decreasing_from_start():
     y = Y.vector()
     start = Xbeta + 2.0 * np.random.default_rng(7).standard_normal(36)
     fit = newton_mode(Y, delta, Xbeta, f, W_init=start)
-    assert log_posterior(fit.mode, y, delta, Xbeta, f) >= log_posterior(
-        start, y, delta, Xbeta, f)
+    assert log_posterior(fit.mode, y, delta, Xbeta, f)[0] >= log_posterior(
+        start, y, delta, Xbeta, f)[0]
+
+
+def test_newton_mode_transforms_sigma_inverse_once_per_evaluation(monkeypatch):
+    # Sigma^{-1}(W - X beta) outside the PCG solves: one for the start, one
+    # for every line-search trial; the score at an accepted W reuses its
+    # trial's transform.  So the count is steps + rejected trials + 1.
+    grid = GridSpec.unit(6, 6)
+    Y, delta, Xbeta, f = make_instance(grid, CovParams(20.0, 3.0), seed=6)
+    start = Xbeta - 6.0  # far below the data: the first full steps overshoot
+    seen = {"transforms": 0, "evaluations": 0, "in_pcg": False, "rhs": []}
+    real_inv, real_lp, real_pcg = (laplace.sigma_inv_matvec, laplace.log_posterior,
+                                   laplace.pcg_solve)
+
+    def sigma_inv(f, v):
+        seen["transforms"] += not seen["in_pcg"]
+        return real_inv(f, v)
+
+    def evaluation(*args):
+        seen["evaluations"] += 1
+        return real_lp(*args)
+
+    def pcg(op, b, **kwargs):
+        seen["rhs"].append(b)
+        seen["in_pcg"] = True
+        try:
+            return real_pcg(op, b, **kwargs)
+        finally:
+            seen["in_pcg"] = False
+
+    monkeypatch.setattr(laplace, "sigma_inv_matvec", sigma_inv)
+    monkeypatch.setattr(laplace, "log_posterior", evaluation)
+    monkeypatch.setattr(laplace, "pcg_solve", pcg)
+    fit = newton_mode(Y, delta, Xbeta, f, W_init=start)
+    assert fit.converged
+    steps = fit.newton_iterations
+    rejected = seen["evaluations"] - 1 - steps
+    assert rejected > 0
+    assert seen["transforms"] == steps + rejected + 1
+    # the reused transform gives the public score bit for bit
+    monkeypatch.setattr(laplace, "sigma_inv_matvec", real_inv)
+    np.testing.assert_array_equal(seen["rhs"][0], posterior_score(start, Y, delta, Xbeta, f))
+
+
+def test_precision_operator_reads_the_cached_inverse_row(monkeypatch):
+    grid = GridSpec.unit(6, 6)
+    Y, delta, Xbeta, f = make_instance(grid, CovParams(1.5, 3.0), seed=2)
+    row = f.inv_row
+    assert f.inv_row is row and not row.flags.writeable
+    np.testing.assert_array_equal(row, np.fft.irfft2(1.0 / f.values, s=f.shape).ravel(order="F"))
+    calls = []
+    real = np.fft.irfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for _ in range(3):
+        precision_operator(f, delta * np.exp(Xbeta))
+    assert calls == []
 
 
 def test_warm_start_agrees_with_cold():

@@ -86,6 +86,16 @@ def test_log_score_validation():
         log_score(np.zeros(GRID.n), bad, GRID.delta())
 
 
+@pytest.mark.parametrize("count", [-1.0, np.nan, np.inf, 0.5],
+                         ids=["negative", "nan", "infinite", "fractional"])
+def test_log_score_rejects_impossible_counts(count):
+    # the CountGrid rule: a held-out count is finite, whole and non-negative
+    y = np.zeros(GRID.n)
+    y[[0, 7]] = [count, 2.0]
+    with pytest.raises(ConfigError, match="counts must be"):
+        log_score(y, np.ones(GRID.n), GRID.delta())
+
+
 # ---------------------------------------------------------------------------
 # RMSE on log intensity
 # ---------------------------------------------------------------------------
