@@ -14,8 +14,7 @@ from .posterior import (IntensityEstimate, estimate_intensity, intensity_mean,
 from .scoring import ScoreReport, interior_mask, log_score, rmse_log_intensity
 from .simulation import SimScenario, scatter_points, simulate_dataset
 from .spectral import (CovParams, SpectralField, amplitude_for_variance,
-                       calibrate_range_to_matern, correlation_at_lag,
-                       inverse_base_row, log_det,
+                       calibrate_range_to_matern, correlation_at_lag, log_det,
                        marginal_variance, matern_correlation,
                        quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
                        sigma_matvec)
@@ -32,7 +31,7 @@ __all__ = [
     "amplitude_for_variance", "bin_points", "block_summaries",
     "calibrate_range_to_matern", "correlation_at_lag", "domain_mask",
     "estimate_intensity", "fit", "flatten", "intensity_mean", "interior_mask",
-    "inverse_base_row", "local_variance", "log_det", "log_score",
+    "local_variance", "log_det", "log_score",
     "make_probes", "marginal_variance", "matern_correlation", "newton_mode",
     "pcg_solve", "posterior_score", "power_spectrum", "probe_spectrum",
     "q_tilde", "quasi_matern_spectrum", "recover_z",

@@ -15,12 +15,18 @@ for eta.  The surrogate objective is
 
 Sigma_eta is circulant, so by Parseval the last two terms are one sum over
 frequencies of a power spectrum P(omega) of the residual and the probe pairs,
-divided by the candidate spectrum.  Each map transforms the probe pairs once
-and the residual once per beta it prices (the incumbent and, under the joint
-scheme, the GLS candidate); q_tilde and the range search then price every
-candidate eta from P without an FFT.  For the quasi-Matern shape the sum over
-P is a quartic in alpha whose three coefficients are moments of P, so each
-range candidate costs one O(n) log sum.
+divided by the candidate spectrum.  Each map transforms the probe solves u
+once and the residual once per beta it prices (the incumbent and, under the
+joint scheme, the GLS candidate); q_tilde and the range search then price
+every candidate eta from P without an FFT.  For the quasi-Matern shape the
+sum over P is a quartic in alpha whose three coefficients are moments of P,
+so a range candidate costs one O(n) log sum the first time its alpha is
+priced in a fit and O(1) after that.
+
+Work that depends only on the grid and the fit's fixed inputs is done once
+per fit (FitInvariants): the forward transforms of the design columns, which
+leave the GLS step one inverse transform per column, the transforms of the
+probes' v's, and the log sums of the range candidates.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
@@ -42,7 +48,9 @@ from .grid import CountGrid, GridSpec, unflatten
 from .covariates import _poisson_irls
 from .laplace import clamped_exp, newton_mode
 from .spectral import (CovParams, SpectralField, amplitude_for_variance, frequency_sines,
-                       log_det, quasi_matern_spectrum, sigma_inv_matvec)
+                       half_dft, half_idft, log_det, quasi_matern_spectrum)
+# unused here; kept for perfbench/tracing.py, which patches em.sigma_inv_matvec
+from .spectral import sigma_inv_matvec  # noqa: F401
 from .trace import ProbePairs, make_probes
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
@@ -153,22 +161,55 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass
+class FitInvariants:
+    """What every EM map of one fit shares and none changes.
+
+    column_dfts holds design_dfts(X) for update_beta; log_det_g memoizes
+    quartic_profile's sum log g_alpha per exact alpha; probe_dfts holds the
+    probes' v's and their transforms, taken on the first map that sees those
+    v's.  fit builds one and drops it when it returns, so no fit sees
+    another's.
+    """
+
+    column_dfts: list
+    log_det_g: dict = field(default_factory=dict)
+    probe_dfts: tuple | None = None  # (v, row_dfts(v, grid))
+
+    def v_dfts(self, probes: ProbePairs, grid: GridSpec) -> np.ndarray:
+        """row_dfts(probes.v, grid), transformed only when the v's change."""
+        if self.probe_dfts is None or not np.array_equal(self.probe_dfts[0], probes.v):
+            self.probe_dfts = (probes.v, row_dfts(probes.v, grid))
+        return self.probe_dfts[1]
+
+
+def design_dfts(X, shape) -> list:
+    """half_dft of each column of the design X on a grid of this shape."""
+    return [half_dft(X[:, j], shape) for j in range(X.shape[1])]
+
+
 # ---------------------------------------------------------------------------
 # surrogate objective and M-step updates
 # ---------------------------------------------------------------------------
 
 
-def probe_spectrum(probes: ProbePairs, grid: GridSpec) -> np.ndarray:
+def row_dfts(rows, grid: GridSpec) -> np.ndarray:
+    """2-D DFT of each row of the (M, n) array rows, as an (M, n1, n2) array."""
+    return np.fft.fft2(np.stack([unflatten(x, grid.n1, grid.n2) for x in rows]))
+
+
+def probe_spectrum(probes: ProbePairs, grid: GridSpec, v_dfts=None) -> np.ndarray:
     """(1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)), the trace part of P.
 
     The probe pairs are fixed within an EM map, so their 2M FFTs run once
-    per map; power_spectrum adds the residual part.
+    per map, or only the M of the u's when v_dfts, row_dfts(probes.v,
+    grid), is given; power_spectrum adds the residual part.
     """
     if probes.v.shape[1] != grid.n:
         raise ConfigError(
             f"probe length {probes.v.shape[1]} does not match grid {grid.n1}x{grid.n2}")
-    vh = np.fft.fft2(np.stack([unflatten(v, grid.n1, grid.n2) for v in probes.v]))
-    uh = np.fft.fft2(np.stack([unflatten(u, grid.n1, grid.n2) for u in probes.u]))
+    vh = row_dfts(probes.v, grid) if v_dfts is None else v_dfts
+    uh = row_dfts(probes.u, grid)
     return np.mean(vh.real * uh.real + vh.imag * uh.imag, axis=0)
 
 
@@ -196,10 +237,16 @@ def q_tilde(P, f: SpectralField, grid: GridSpec) -> float:
     return -0.5 * (log_det(f) + float(np.sum(P / f.values)) / grid.n)
 
 
-def update_beta(W_mode, X, f_t: SpectralField) -> np.ndarray:
-    """GLS solve of (X' Sigma^{-1} X) beta = X' Sigma^{-1} W."""
+def update_beta(W_mode, X, f_t: SpectralField, column_dfts=None) -> np.ndarray:
+    """GLS solve of (X' Sigma^{-1} X) beta = X' Sigma^{-1} W.
+
+    column_dfts, design_dfts(X, f_t.shape) taken once per fit, spares the
+    forward transforms of X's columns: Sigma^{-1} X then costs one inverse
+    transform per column."""
     X = np.asarray(X, dtype=float)
-    S = np.column_stack([sigma_inv_matvec(f_t, X[:, j]) for j in range(X.shape[1])])
+    if column_dfts is None:
+        column_dfts = design_dfts(design_matrix(X, f_t.n), f_t.shape)
+    S = np.column_stack([half_idft(h * f_t.inv_half, f_t.shape) for h in column_dfts])
     A = X.T @ S
     A = 0.5 * (A + A.T)
     b = S.T @ W_mode
@@ -221,7 +268,7 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
-def quartic_profile(P, grid: GridSpec):
+def quartic_profile(P, grid: GridSpec, log_det_g=None):
     """alpha -> (Q maximized over sigma2 at alpha, the maximizing sigma2).
 
     With f = sigma2 g_alpha and S = (1/n) sum P / g_alpha,
@@ -229,17 +276,21 @@ def quartic_profile(P, grid: GridSpec):
     sigma2 = S / n (floored at SIGMA2_FLOOR).  1/g_alpha = (1 + alpha^2 s)^2
     with s from frequency_sines, so sum P / g_alpha = A + 2 alpha^2 B
     + alpha^4 C for the moments A = sum P, B = sum P s and C = sum P s^2,
-    taken once; only sum log g_alpha = -2 sum log1p(alpha^2 s) stays O(n)
-    per candidate.
+    taken once; only sum log g_alpha = -2 sum log1p(alpha^2 s) stays O(n),
+    and it depends on alpha and the grid alone: the dict log_det_g, if
+    given, memoizes it per exact alpha across calls on the same grid.
     """
     s = frequency_sines(grid)
     Ps = P * s
     A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
+    memo = {} if log_det_g is None else log_det_g
 
     def price(alpha):
         a2 = alpha * alpha
         S = (A + 2.0 * a2 * B + a2 * a2 * C) / grid.n
-        log_det_g = -2.0 * float(np.sum(np.log1p(a2 * s)))
+        log_det_g = memo.get(alpha)
+        if log_det_g is None:
+            log_det_g = memo[alpha] = -2.0 * float(np.sum(np.log1p(a2 * s)))
         s2 = max(S / grid.n, SIGMA2_FLOOR)
         return -0.5 * (grid.n * np.log(s2) + log_det_g + S / s2), s2
 
@@ -247,16 +298,17 @@ def quartic_profile(P, grid: GridSpec):
 
 
 def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
-               diagnostics=None) -> CovParams:
+               diagnostics=None, log_det_g=None) -> CovParams:
     """Profiled 1-D maximization over alpha for the power spectrum P, each
-    candidate priced by quartic_profile: coarse log-grid scan, then
-    golden-section to 1e-4 relative width, then a keep-the-better comparison
-    with the incumbent range so the step never loses ground."""
+    candidate priced by quartic_profile (with its log_det_g memo, if given):
+    coarse log-grid scan, then golden-section to 1e-4 relative width, then a
+    keep-the-better comparison with the incumbent range so the step never
+    loses ground."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi, got {bounds}")
 
-    price = quartic_profile(P, grid)
+    price = quartic_profile(P, grid, log_det_g)
     cache = {}
 
     def phi(a):
@@ -306,7 +358,7 @@ def _alpha_bounds(config: FitConfig, grid: GridSpec):
 
 
 def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovParams, W,
-            diagnostics: dict, U=None):
+            diagnostics: dict, U=None, invariants: FitInvariants | None = None):
     """One EM map (beta, eta, W, U) -> (beta', eta', W', U', Q_inc, Q_new).
 
     E-step: the Laplace mode from W and the M probe pairs, whose v's come from
@@ -314,8 +366,11 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
     input.  Their solves U' start from the (M, n) array U, the previous map's
     solves, or from zero if U is None.  M-step: the GLS beta (joint scheme
     only) and the range search, each kept only when it does not lower Q, so
-    Q_new >= Q_inc.
+    Q_new >= Q_inc.  invariants, the fit's FitInvariants for these X and
+    grid, saves recomputing them; the map's output does not depend on it.
     """
+    if invariants is None:
+        invariants = FitInvariants(design_dfts(X, (grid.n1, grid.n2)))
     f = quasi_matern_spectrum(eta, grid)
     Xbeta = X @ beta
     lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
@@ -329,12 +384,12 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
                                            + probes.pcg_iterations)
     if not probes.solve_converged.all():
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
-    probe_part = probe_spectrum(probes, grid)
+    probe_part = probe_spectrum(probes, grid, invariants.v_dfts(probes, grid))
 
     P = power_spectrum(W - Xbeta, grid, probe_part)
     q_inc = q_mid = q_tilde(P, f, grid)
     if X.shape[1] > 0 and config.scheme == "joint":
-        beta_cand = update_beta(W, X, f)
+        beta_cand = update_beta(W, X, f, invariants.column_dfts)
         P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
         q_cand = q_tilde(P_cand, f, grid)
         if q_cand >= q_inc:
@@ -342,7 +397,7 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
 
     # eta step on the residual at the chosen beta
     eta_cand = update_eta(P, grid, _alpha_bounds(config, grid), incumbent=eta,
-                          diagnostics=diagnostics)
+                          diagnostics=diagnostics, log_det_g=invariants.log_det_g)
     q_new = q_tilde(P, quasi_matern_spectrum(eta_cand, grid), grid)
     if q_new >= q_mid:
         eta = eta_cand
@@ -453,11 +508,12 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     beta, eta, W = glm_start(Y, X, grid, bounds)
 
     rows = []
+    invariants = FitInvariants(design_dfts(X, (grid.n1, grid.n2)))
 
     def em_map(x, state):
         W, U = state
         beta, eta, W, U, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W,
-                                                diagnostics, U)
+                                                diagnostics, U, invariants)
         rows.append((q_inc, q_new))
         return _pack(beta, eta), (W, U)
 

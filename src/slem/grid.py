@@ -99,15 +99,20 @@ class PointPattern:
 
 
 def check_counts(vals) -> np.ndarray:
-    """The one rule for event counts: finite, whole and non-negative.
-    Returns the counts as an integer array; anything else is a ConfigError."""
+    """The one rule for event counts: finite, whole, non-negative and below
+    2**63.  Returns the counts as an integer array; anything else is a
+    ConfigError."""
     vals = np.asarray(vals)
-    if not np.issubdtype(vals.dtype, np.integer):
-        if not np.all(np.isfinite(vals)) or np.any(vals != np.round(vals)):
-            raise ConfigError("counts must be finite integers")
-        vals = vals.astype(np.int64)
+    integer = np.issubdtype(vals.dtype, np.integer)
+    if not integer and (not np.all(np.isfinite(vals)) or np.any(vals != np.round(vals))):
+        raise ConfigError("counts must be finite integers")
     if np.any(vals < 0):
         raise ConfigError("counts must be non-negative")
+    if not integer:
+        # checked before the cast, which would wrap these to negative int64
+        if np.any(vals >= 2.0 ** 63):
+            raise ConfigError("counts are too large: they must be below 2**63")
+        vals = vals.astype(np.int64)
     return vals
 
 

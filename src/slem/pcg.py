@@ -80,11 +80,11 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalError(f"PCG curvature p'Ap = {pAp} at iteration {k}; operator not SPD")
         alpha = rz / pAp
-        x = x + alpha * p
+        x += alpha * p
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"PCG iterate contains non-finite values at iteration {k}")
         change_rms = abs(alpha) * np.linalg.norm(Ap) / sqrt_n  # = ||r_{k+1} - r_k|| / sqrt(n)
-        r = r - alpha * Ap
+        r -= alpha * Ap
         z = op.precondition(r)
         rz_new = _preconditioned_norm2(r, z)
         result.resid_norms.append(math.sqrt(rz_new))
@@ -99,7 +99,8 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
             return result
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta  # p = z + beta p, updated in place
+        p += z
 
     result.x = best_x  # best residual seen; caller decides how to treat non-convergence
     return result

@@ -15,7 +15,12 @@ Sigma^{-1}, sqrt(f) for sampling.  SpectralField owns that layout (its half,
 inv_half and Sigma^{-1}'s base row inv_row, each computed once per field)
 and _filter is the one transform pair, so results are exactly real; the
 symmetry of f under frequency negation (which makes that legitimate) is a
-hard construction-time invariant of SpectralField.
+hard construction-time invariant of SpectralField.  _filter runs the 1-D
+passes that rfft2 and irfft2 make, in their order, without their argument
+handling: half_dft (rfft along axis 1, then fft along axis 0) and half_idft
+(ifft along axis 0, then irfft along axis 1), so its output is bit for bit
+irfft2(rfft2(v) * h).  A caller that applies several operators to one fixed
+vector takes half_dft once and only half_idft per operator.
 
 Everything here needs numpy only, except the Matern reference
 (matern_correlation, hence calibrate_range_to_matern), which imports
@@ -57,9 +62,10 @@ class SpectralField:
             raise ConfigError(f"spectral field must be 2-D, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise NumericalError("spectral field entries must be finite and strictly positive")
-        # f(omega) = f(-omega mod 2 pi): the real-matvec path silently assumes it
+        # f(omega) = f(-omega mod 2 pi) to 1e-8 relative: the real-matvec path
+        # silently assumes it
         mirrored = np.roll(vals[::-1, ::-1], (1, 1), axis=(0, 1))
-        if not np.allclose(vals, mirrored, rtol=1e-8, atol=0.0):
+        if not np.all(np.abs(vals - mirrored) <= 1e-8 * np.abs(mirrored)):
             raise NumericalError("spectral field is not symmetric under frequency negation")
         vals = vals.copy()
         vals.flags.writeable = False
@@ -131,6 +137,18 @@ def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec) -> flo
 # ---------------------------------------------------------------------------
 
 
+def half_dft(v: np.ndarray, shape) -> np.ndarray:
+    """DFT of an n-vector on an n1 x n2 grid, on the half plane: rfft2's
+    passes, rfft along axis 1 then fft along axis 0."""
+    return np.fft.fft(np.fft.rfft(unflatten(v, *shape), axis=1), axis=0)
+
+
+def half_idft(h: np.ndarray, shape) -> np.ndarray:
+    """The n-vector whose half_dft is h: irfft2's passes, ifft along axis 0
+    then irfft along axis 1."""
+    return flatten(np.fft.irfft(np.fft.ifft(h, axis=0), n=shape[1], axis=1))
+
+
 def _filter(half: np.ndarray, v: np.ndarray, shape) -> np.ndarray:
     """iDFT(h . DFT(v)) for an n-vector v on an n1 x n2 grid, with h the
     operator's spectrum on the half plane (SpectralField.half or inv_half)."""
@@ -140,7 +158,7 @@ def _filter(half: np.ndarray, v: np.ndarray, shape) -> np.ndarray:
         raise ConfigError(f"vector length {v.size} does not match grid {n1}x{n2}")
     if not np.all(np.isfinite(v)):
         raise NumericalError("matvec input contains non-finite entries")
-    return flatten(np.fft.irfft2(np.fft.rfft2(unflatten(v, n1, n2)) * half, s=shape))
+    return half_idft(half_dft(v, shape) * half, shape)
 
 
 def sigma_matvec(f: SpectralField, v: np.ndarray) -> np.ndarray:
@@ -166,11 +184,6 @@ def sample_gp(f: SpectralField, seed: int) -> np.ndarray:
     """
     eps = np.random.default_rng(seed).standard_normal(f.shape)
     return _filter(np.sqrt(f.half), flatten(eps), f.shape)
-
-
-def inverse_base_row(f: SpectralField) -> np.ndarray:
-    """First row of Sigma^{-1} (SpectralField.inv_row, computed once per field)."""
-    return f.inv_row
 
 
 # ---------------------------------------------------------------------------

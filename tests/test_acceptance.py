@@ -27,7 +27,7 @@ from oracles import (dense_newton_mode, dense_sigma, dense_sigma_inv,
                      dense_trace, naive_log_score, naive_rmse, trace_term)
 from slem import (CountGrid, CovParams, FitConfig, GridSpec, SimScenario,
                   amplitude_for_variance, calibrate_range_to_matern,
-                  fit, interior_mask, inverse_base_row, local_variance,
+                  fit, interior_mask, local_variance,
                   log_det, log_score, make_probes, newton_mode,
                   posterior_score, power_spectrum, probe_spectrum, q_tilde,
                   quasi_matern_spectrum, rmse_log_intensity, sample_gp,
@@ -76,7 +76,7 @@ def test_01_circulant_ops_match_dense_oracles():
             worst = max(worst, _rel(sigma_matvec(f, v), S @ v))
             worst = max(worst, _rel(sigma_inv_matvec(f, v), Sinv @ v))
             worst = max(worst, _rel(log_det(f), np.linalg.slogdet(S)[1]))
-            worst = max(worst, _rel(inverse_base_row(f), Sinv[0]))
+            worst = max(worst, _rel(f.inv_row, Sinv[0]))
     dt = time.perf_counter() - t0
     _verdict(1, worst < 1e-8,
              f"circulant ops vs dense, max rel err {worst:.2e} "

@@ -237,6 +237,28 @@ def test_quartic_profile_matches_profiled_q(n1, n2):
         np.testing.assert_allclose(s2, s2_direct, rtol=1e-12)
 
 
+def test_quartic_profile_memo_prices_exactly_as_a_fresh_profile(monkeypatch):
+    # the memoized log sum depends on alpha and the grid only, so prices
+    # read from a memo filled under another P are the fresh prices, bit for bit
+    grid = GridSpec.unit(9, 7)
+    f_t = quasi_matern_spectrum(CovParams(1.5, 3.0), grid)
+    rng = np.random.default_rng(16)
+    probes = make_probes(1, grid.n, 16, f_t, 0.2 + rng.random(grid.n), eps_pcg=1e-10)
+    P1, P2 = (spectrum(sample_gp(f_t, seed), probes, grid) for seed in (16, 17))
+    alphas = np.geomspace(1e-2, 2.0 * grid.n1, 200)
+    memo = {}
+    first = quartic_profile(P1, grid, memo)
+    assert [first(a) for a in alphas] == [quartic_profile(P1, grid)(a) for a in alphas]
+    assert len(memo) == 200
+    log1p = np.log1p
+    calls = []
+    monkeypatch.setattr(np, "log1p", lambda *a, **k: calls.append(1) or log1p(*a, **k))
+    second = quartic_profile(P2, grid, memo)
+    memoized = [second(a) for a in alphas]
+    assert calls == []
+    assert memoized == [quartic_profile(P2, grid)(a) for a in alphas]
+
+
 def test_update_eta_dominates_2d_grid_search():
     W, X, c, probes = em_instance(PARAM_SETS[0], seed=11, M=3)
     bounds = (1e-2, 6.0)
@@ -376,30 +398,52 @@ def test_m_step_that_lowers_q_is_rejected(monkeypatch):
     # the incumbent beta and the recorded pairs stay monotone
     Y, X, grid = small_dataset(seed=6)
     beta0, _, _ = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
-    monkeypatch.setattr(em, "update_beta", lambda W, X, f: np.full(X.shape[1], 50.0))
+    monkeypatch.setattr(em, "update_beta",
+                        lambda W, X, f, column_dfts=None: np.full(X.shape[1], 50.0))
     res = fit(Y, X, grid, FitConfig(max_em=4, seed=0))
     np.testing.assert_array_equal(res.theta_star.beta, beta0)
     q_inc, q_new = res.objective_trace.T
     assert np.all(q_new >= q_inc)
 
 
-def test_probes_are_transformed_once_per_em_iteration(monkeypatch):
-    # the probe pairs are fixed within an EM map, so pricing the beta and
-    # eta candidates must not transform them again
+def test_probe_vs_are_transformed_once_per_fit_and_us_once_per_map(monkeypatch):
+    # the v's are the same on every map and the u's are fixed within one, so
+    # pricing the beta and eta candidates must not transform either again
     Y, X, grid = small_dataset(seed=8)
     fft2 = np.fft.fft2
-    probe_ffts = []
+    v_ffts, u_ffts = [], []
 
     def counting_fft2(a, *args, **kwargs):
-        slices = np.asarray(a).reshape(-1, grid.n1, grid.n2)
-        if any(np.all(np.abs(s) == 1.0) for s in slices):  # Rademacher probes
-            probe_ffts.append(slices.shape[0])
+        a = np.asarray(a)
+        if a.ndim == 3:  # a stack of probe rows; residuals come one at a time
+            rademacher = np.all(np.abs(a) == 1.0)
+            (v_ffts if rademacher else u_ffts).append(a.shape[0])
         return fft2(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft2", counting_fft2)
-    res = fit(Y, X, grid, FitConfig(M=1, max_em=3, eps_em=1e-300, seed=0))
+    res = fit(Y, X, grid, FitConfig(M=2, max_em=3, eps_em=1e-300, seed=0))
     assert res.em_iterations == 3
-    assert probe_ffts == [1] * 3
+    assert v_ffts == [2]
+    assert u_ffts == [2] * 3
+
+
+def test_design_columns_are_transformed_once_per_fit(monkeypatch):
+    # the GLS step applies Sigma^{-1} to the same columns on every map; only
+    # the inverse transform depends on the map's spectrum
+    Y, X, grid = small_dataset(seed=8, beta=(0.2, 0.7, -0.4))
+    columns = [unflatten(X[:, j], grid.n1, grid.n2) for j in range(X.shape[1])]
+    seen = [0] * len(columns)
+    rfft = np.fft.rfft
+
+    def counting_rfft(a, *args, **kwargs):
+        for j, col in enumerate(columns):
+            seen[j] += np.shape(a) == col.shape and np.array_equal(a, col)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    res = fit(Y, X, grid, FitConfig(max_em=3, eps_em=1e-300, seed=0))
+    assert res.em_iterations == 3
+    assert seen == [1, 1, 1]
 
 
 def test_probes_are_drawn_from_config_seed_on_every_map(monkeypatch):

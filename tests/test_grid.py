@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,7 +9,7 @@ from scipy.special import gammaln
 
 from slem import (ConfigError, CountGrid, GridSpec, PointPattern, bin_points,
                   domain_mask, flatten, split_train_test, unflatten)
-from slem.grid import log_factorial
+from slem.grid import check_counts, log_factorial
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +100,22 @@ def test_countgrid_validation(values):
 def test_countgrid_accepts_integral_floats():
     Y = CountGrid(np.array([[1.0, 0.0], [2.0, 3.0]]), GridSpec.unit(2, 2))
     assert Y.values.dtype == np.int64
+
+
+@pytest.mark.parametrize("count", [1e19, 1e300, 2.0 ** 63])
+def test_count_rule_rejects_counts_int64_cannot_hold(count):
+    # the int64 cast would wrap these to negative, with a cast warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="too large"):
+            check_counts(np.array([3.0, count]))
+
+
+def test_count_rule_keeps_large_whole_counts():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = check_counts(np.array([3.0, 2.0 ** 62]))
+    assert got.dtype == np.int64 and got.tolist() == [3, 2 ** 62]
 
 
 def test_log_factorial_matches_gammaln_on_every_count_to_1e5():

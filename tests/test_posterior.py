@@ -3,8 +3,8 @@ import pytest
 
 from oracles import dense_local_variance, dense_posterior_precision
 from slem import (ConfigError, CovParams, GridSpec, NumericalError,
-                  estimate_intensity, intensity_mean, inverse_base_row,
-                  local_variance, quasi_matern_spectrum, recover_z)
+                  estimate_intensity, intensity_mean, local_variance,
+                  quasi_matern_spectrum, recover_z)
 
 
 def posterior_instance(n1, n2, eta=CovParams(1.5, 3.0), seed=0):
@@ -75,7 +75,7 @@ def test_recover_z_subtracts_linear_predictor():
 def test_local_variance_k1_closed_form():
     # 1 x 1 neighborhood: var_i = 1 / (Sigma^{-1}_{ii} + psi_i)
     grid, f, psi = posterior_instance(6, 6)
-    prior_diag = inverse_base_row(f)[0]
+    prior_diag = f.inv_row[0]
     np.testing.assert_allclose(local_variance(f, psi, k=1), 1.0 / (prior_diag + psi),
                                rtol=1e-10)
 

@@ -38,3 +38,12 @@ def test_calibrate_range_prints_alpha_and_amplitude(tmp_path):
     assert out[1].startswith("correlation at lag 3: ")
     assert out[2].startswith("spectral amplitude for pixel variance 1: ")
     assert out[3] == "implied pixel variance: 1"
+
+
+def test_fit_digest_repeats_across_runs(tmp_path):
+    runs = [run_script("fit_digest.py", "--workload", "smoke", "--seed", "0", "3",
+                       cwd=tmp_path) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert [line.rsplit(" ", 1)[0] for line in runs[0]] == ["smoke seed 0", "smoke seed 3"]
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in runs[0])
+    assert runs[0][0] != runs[0][1]

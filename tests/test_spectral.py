@@ -5,18 +5,18 @@ from hypothesis import strategies as st
 from scipy import special
 
 from oracles import base_row, dense_covariance
-from slem import (ConfigError, CovParams, GridSpec, SpectralField,
-                  amplitude_for_variance, calibrate_range_to_matern,
-                  inverse_base_row, log_det, marginal_variance,
+from slem import (ConfigError, CovParams, GridSpec, NumericalError, SpectralField,
+                  amplitude_for_variance, calibrate_range_to_matern, flatten,
+                  log_det, marginal_variance,
                   matern_correlation, quasi_matern_spectrum, sample_gp,
-                  sigma_inv_matvec, sigma_matvec)
-from slem.spectral import correlation_at_lag
+                  sigma_inv_matvec, sigma_matvec, unflatten)
+from slem.spectral import _filter, correlation_at_lag, half_dft
 
 GRID6 = GridSpec.unit(6, 6)
 GRID8 = GridSpec.unit(8, 8)
 # non-square grids with odd n2 catch a half plane cut on the wrong axis or an
 # inverse transform that drops s= (it would return an even n2); acceptance 01
-# runs inverse_base_row on the same grids
+# reads SpectralField.inv_row on the same grids
 ORACLE_GRIDS = [GRID6, GRID8, GridSpec.unit(5, 7), GridSpec.unit(7, 5), GridSpec.unit(9, 4)]
 PARAM_SETS = [CovParams(1.5, 3.0), CovParams(2.0, 8.0)]
 
@@ -74,6 +74,17 @@ def test_spectral_field_rejects_bad_values():
         vals = np.ones((4, 4))
         vals[1, 0] = 2.0
         SpectralField(vals)
+
+
+def test_spectral_field_symmetry_tolerance_is_1e8_relative():
+    vals = quasi_matern_spectrum(CovParams(1.5, 3.0), GRID8).values
+    bumped = vals.copy()
+    bumped[1, 2] *= 1 + 2e-8  # its mirror is entry (7, 6)
+    with pytest.raises(NumericalError, match="not symmetric"):
+        SpectralField(bumped)
+    bumped = vals.copy()
+    bumped[1, 2] *= 1 + 5e-9
+    np.testing.assert_array_equal(SpectralField(bumped).values, bumped)
 
 
 def test_amplitude_for_variance_roundtrip():
@@ -137,6 +148,16 @@ def test_matvec_unit_vector_gives_base_column():
             expected[h1 + 6 * h2] = acc / 36
     np.testing.assert_allclose(col, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(base_row(f), expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(70, 70), (7, 10), (9, 6), (1, 8), (8, 1)])
+def test_filter_passes_match_the_rfft2_pair_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    v = rng.standard_normal(shape[0] * shape[1])
+    half = 0.5 + rng.random((shape[0], shape[1] // 2 + 1))
+    want = flatten(np.fft.irfft2(np.fft.rfft2(unflatten(v, *shape)) * half, s=shape))
+    assert np.array_equal(_filter(half, v, shape), want)
+    assert np.array_equal(half_dft(v, shape), np.fft.rfft2(unflatten(v, *shape)))
 
 
 def test_matvec_rejects_bad_input():
@@ -205,7 +226,7 @@ def test_sample_gp_lag_covariance():
 
 def test_inverse_base_row_alpha_zero():
     f = quasi_matern_spectrum(CovParams(4.0, 0.0), GRID6)
-    row = inverse_base_row(f)
+    row = f.inv_row
     expected = np.zeros(36)
     expected[0] = 0.25
     np.testing.assert_allclose(row, expected, atol=1e-14)
@@ -214,7 +235,7 @@ def test_inverse_base_row_alpha_zero():
 def test_inverse_base_row_dense_lookup():
     f = quasi_matern_spectrum(CovParams(1.5, 3.0), GRID6)
     Sinv = np.linalg.inv(dense_covariance(f))
-    row = inverse_base_row(f)
+    row = f.inv_row
     # entry (i, j) is a wrap-around lag lookup
     idx = np.arange(36)
     i1, i2 = idx % 6, idx // 6
@@ -227,7 +248,7 @@ def test_inverse_base_row_dense_lookup():
 
 def test_base_row_lag_symmetry():
     f = quasi_matern_spectrum(CovParams(2.0, 8.0), GRID8)
-    for row in (base_row(f), inverse_base_row(f)):
+    for row in (base_row(f), f.inv_row):
         table = row.reshape((8, 8), order="F")
         np.testing.assert_allclose(table, np.roll(table[::-1, ::-1], (1, 1), axis=(0, 1)),
                                    rtol=1e-10, atol=1e-13)
