@@ -81,8 +81,14 @@ class SpectralField:
 
     @cached_property
     def half(self):
-        """f on the rfft2 half plane, the first n2 // 2 + 1 frequency columns."""
-        return self.values[:, : self.shape[1] // 2 + 1]
+        """f on the rfft2 half plane, the first n2 // 2 + 1 frequency columns.
+
+        Stored in Fortran order, the order of half_dft's output, so a
+        filter's product and its inverse passes stay in that order and
+        half_idft flattens without a copy; the values are unchanged."""
+        half = np.asfortranarray(self.values[:, : self.shape[1] // 2 + 1])
+        half.flags.writeable = False
+        return half
 
     @cached_property
     def inv_half(self):
