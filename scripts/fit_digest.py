@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Print one sha256 per benchmark fit, to show that a change leaves fits
-bit-identical.
+"""Print a fit and an objective sha256 digest per benchmark fit.
+
+Run at two commits and compare, to show that a change leaves fits
+bit-identical:
 
     python3 scripts/fit_digest.py --workload paper70 sparse70 rough128 --seed 0 1
 
 For each workload and seed the inputs, the fit and the prediction are the
 benchmark's own (perfbench/run.py's set_up, run_fit and run_predict, imported
-and not modified).  The digest covers theta*, W*, Z*, the map count, the
-converged flag, the objective trace, the diagnostics without
-runtime_seconds and every array estimate_intensity returns.  Each line reads
-"<workload> seed <seed> <hex digest>"; run it at two commits and compare.
+and not modified).  The fit digest covers theta*, W*, Z*, the map count, the
+converged flag, the diagnostics without runtime_seconds and every array
+estimate_intensity returns; the objective digest covers the objective trace
+alone, so a change that prices Q differently at rounding level can show that
+the fit itself is unchanged.  Each line reads
+"<workload> seed <seed> fit <hex> objective <hex>".
 """
 import argparse
 import hashlib
@@ -26,24 +30,25 @@ import numpy as np  # noqa: E402
 import run as perfbench  # noqa: E402  (pins BLAS threads, imports slem from src/)
 
 
-def fit_digest(res, est) -> str:
+def sha256(*arrays, extra=None) -> str:
+    """Digest of the named arrays (name, array) and the JSON of extra."""
     h = hashlib.sha256()
-
-    def add(name, array):
+    for name, array in arrays:
         a = np.ascontiguousarray(array, dtype=float)
         h.update(f"{name}{a.shape}".encode())
         h.update(a.tobytes())
-
-    add("theta", res.theta_star.vector())
-    add("W", res.W_star)
-    add("Z", res.Z_star)
-    add("objective", res.objective_trace)
-    diagnostics = {k: v for k, v in res.diagnostics.items() if k != "runtime_seconds"}
-    h.update(json.dumps([res.em_iterations, res.converged, diagnostics],
-                        sort_keys=True).encode())
-    for f in fields(est):
-        add(f.name, getattr(est, f.name))
+    if extra is not None:
+        h.update(json.dumps(extra, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def fit_digests(res, est) -> tuple:
+    """(fit digest, objective digest) of one fit and its prediction."""
+    diagnostics = {k: v for k, v in res.diagnostics.items() if k != "runtime_seconds"}
+    fit = sha256(("theta", res.theta_star.vector()), ("W", res.W_star), ("Z", res.Z_star),
+                 *((f.name, getattr(est, f.name)) for f in fields(est)),
+                 extra=[res.em_iterations, res.converged, diagnostics])
+    return fit, sha256(("objective", res.objective_trace))
 
 
 def main(argv=None) -> int:
@@ -58,8 +63,8 @@ def main(argv=None) -> int:
         for seed in args.seed:
             inputs = perfbench.set_up(perfbench.WORKLOADS[name], args.scenario_seed, seed)
             res = perfbench.run_fit(inputs)
-            digest = fit_digest(res, perfbench.run_predict(inputs, res))
-            print(f"{name} seed {seed} {digest}", flush=True)
+            fit, objective = fit_digests(res, perfbench.run_predict(inputs, res))
+            print(f"{name} seed {seed} fit {fit} objective {objective}", flush=True)
     return 0
 
 

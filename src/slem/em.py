@@ -17,11 +17,14 @@ Sigma_eta is circulant, so by Parseval the last two terms are one sum over
 frequencies of a power spectrum P(omega) of the residual and the probe pairs,
 divided by the candidate spectrum.  Each map transforms the probe solves u
 once and the residual once per beta it prices (the incumbent and, under the
-joint scheme, the GLS candidate); q_tilde and the range search then price
-every candidate eta from P without an FFT.  For the quasi-Matern shape the
-sum over P is a quartic in alpha whose three coefficients are moments of P,
-so a range candidate costs one O(n) log sum the first time its alpha is
-priced in a fit and O(1) after that.
+joint scheme, the GLS candidate).  For the quasi-Matern shape the sum over P
+is a quartic in alpha whose three coefficients are moments of P
+(quartic_profile), so the incumbent, the GLS candidate and every range
+candidate are priced from P without an FFT or a spectrum: a candidate costs
+one O(n) log sum the first time its alpha is priced in a fit and O(1) after
+that.  The map builds one SpectralField, the E-step's.  q_tilde prices Q at
+any spectrum; it is the reference the tests check the closed form against,
+not part of the fit.
 
 Work that depends only on the grid and the fit's fixed inputs is done once
 per fit (FitInvariants): the forward transforms of the design columns, which
@@ -115,8 +118,9 @@ class FitConfig:
         ab = self.alpha_bounds
         if ab is not None:
             if not (isinstance(ab, (list, tuple)) and len(ab) == 2
-                    and all(map(_is_real, ab)) and 0 < ab[0] < ab[1]):
-                raise ConfigError(f"alpha_bounds must be [lo, hi] with 0 < lo < hi, got {ab!r}")
+                    and all(map(_is_real, ab)) and 0 < ab[0] < ab[1] < np.inf):
+                raise ConfigError(
+                    f"alpha_bounds must be [lo, hi] with 0 < lo < hi < inf, got {ab!r}")
             self.alpha_bounds = (float(ab[0]), float(ab[1]))
 
     def to_dict(self):
@@ -233,7 +237,10 @@ def power_spectrum(r, grid: GridSpec, probe_part) -> np.ndarray:
 
 def q_tilde(P, f: SpectralField, grid: GridSpec) -> float:
     """Q(theta | theta_t; M) at spectrum f, for the power spectrum P of the
-    residual at theta's beta and the probe pairs built at theta_t."""
+    residual at theta's beta and the probe pairs built at theta_t.
+
+    Any spectrum, no closed form: the reference for quartic_profile, which
+    prices every Q of the fit itself."""
     return -0.5 * (log_det(f) + float(np.sum(P / f.values)) / grid.n)
 
 
@@ -269,7 +276,8 @@ def _dependent_columns(X):
 
 
 def quartic_profile(P, grid: GridSpec, log_det_g=None):
-    """alpha -> (Q maximized over sigma2 at alpha, the maximizing sigma2).
+    """(alpha, sigma2=None) -> (Q at (sigma2, alpha), sigma2), with sigma2,
+    if not given, the one that maximizes Q at alpha.
 
     With f = sigma2 g_alpha and S = (1/n) sum P / g_alpha,
     Q = -1/2 [n log sigma2 + sum log g_alpha + S / sigma2], maximized at
@@ -285,13 +293,13 @@ def quartic_profile(P, grid: GridSpec, log_det_g=None):
     A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
     memo = {} if log_det_g is None else log_det_g
 
-    def price(alpha):
+    def price(alpha, sigma2=None):
         a2 = alpha * alpha
         S = (A + 2.0 * a2 * B + a2 * a2 * C) / grid.n
         log_det_g = memo.get(alpha)
         if log_det_g is None:
             log_det_g = memo[alpha] = -2.0 * float(np.sum(np.log1p(a2 * s)))
-        s2 = max(S / grid.n, SIGMA2_FLOOR)
+        s2 = max(S / grid.n, SIGMA2_FLOOR) if sigma2 is None else sigma2
         return -0.5 * (grid.n * np.log(s2) + log_det_g + S / s2), s2
 
     return price
@@ -305,8 +313,8 @@ def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
     keep-the-better comparison with the incumbent range so the step never
     loses ground."""
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0 < lo < hi:
-        raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi, got {bounds}")
+    if not 0 < lo < hi < np.inf:
+        raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi < inf, got {bounds}")
 
     price = quartic_profile(P, grid, log_det_g)
     cache = {}
@@ -386,19 +394,22 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
     probe_part = probe_spectrum(probes, grid, invariants.v_dfts(probes, grid))
 
+    memo = invariants.log_det_g
     P = power_spectrum(W - Xbeta, grid, probe_part)
-    q_inc = q_mid = q_tilde(P, f, grid)
+    price = quartic_profile(P, grid, memo)
+    q_inc = q_mid = price(eta.alpha, eta.sigma2)[0]
     if X.shape[1] > 0 and config.scheme == "joint":
         beta_cand = update_beta(W, X, f, invariants.column_dfts)
         P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
-        q_cand = q_tilde(P_cand, f, grid)
+        price_cand = quartic_profile(P_cand, grid, memo)
+        q_cand = price_cand(eta.alpha, eta.sigma2)[0]
         if q_cand >= q_inc:
-            beta, P, q_mid = beta_cand, P_cand, q_cand
+            beta, P, price, q_mid = beta_cand, P_cand, price_cand, q_cand
 
-    # eta step on the residual at the chosen beta
+    # eta step on the residual at the chosen beta; q_new is the number it maximized
     eta_cand = update_eta(P, grid, _alpha_bounds(config, grid), incumbent=eta,
-                          diagnostics=diagnostics, log_det_g=invariants.log_det_g)
-    q_new = q_tilde(P, quasi_matern_spectrum(eta_cand, grid), grid)
+                          diagnostics=diagnostics, log_det_g=memo)
+    q_new = price(eta_cand.alpha, eta_cand.sigma2)[0]
     if q_new >= q_mid:
         eta = eta_cand
     else:

@@ -39,6 +39,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ConfigError(f"grid must have positive pixel counts, got {self.n1}x{self.n2}")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ConfigError(f"grid domain bounds must be finite, got {bounds}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ConfigError("grid domain bounds must have positive extent")
 

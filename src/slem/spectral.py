@@ -24,7 +24,7 @@ vector takes half_dft once and only half_idft per operator.
 
 Everything here needs numpy only, except the Matern reference
 (matern_correlation, hence calibrate_range_to_matern), which imports
-scipy.special for the Bessel function K_nu when it is first called.
+scipy.special for the Bessel function K_1 when it is first called.
 """
 from __future__ import annotations
 
@@ -197,15 +197,18 @@ def sample_gp(f: SpectralField, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def matern_correlation(h, range_, nu=1.0):
-    """2^(1-nu)/Gamma(nu) (h/a)^nu K_nu(h/a), with rho(0) = 1."""
-    from scipy import special  # only range calibration needs K_nu
+def matern_correlation(h, range_):
+    """Matern nu = 1 correlation (h/a) K_1(h/a), with rho(0) = 1.
+
+    nu = 1 is the smoothness the quasi-Matern spectrum (1 + alpha^2 s)^-2
+    approximates on a 2-D lattice, the only Matern a range is calibrated to."""
+    from scipy import special  # only range calibration needs K_1
 
     h = np.asarray(h, dtype=float)
     t = h / range_
     out = np.ones_like(t)
     pos = t > 0
-    out[pos] = (2.0 ** (1.0 - nu) / special.gamma(nu)) * t[pos] ** nu * special.kv(nu, t[pos])
+    out[pos] = t[pos] * special.kv(1.0, t[pos])
     return out if out.ndim else float(out)
 
 
@@ -217,15 +220,15 @@ def correlation_at_lag(alpha: float, grid: GridSpec, lag: int) -> float:
     return num / float(np.sum(shape))
 
 
-def calibrate_range_to_matern(grid: GridSpec, matern_range: float, nu: float = 1.0) -> float:
+def calibrate_range_to_matern(grid: GridSpec, matern_range: float) -> float:
     """Quasi-Matern alpha whose correlation at lag round(matern_range) matches
-    the Matern correlation there.
+    the Matern (nu = 1) correlation there.
 
     Bisection on a bracket found by scanning; correlation is monotone in alpha
     over the scanned window.
     """
     lag = int(round(matern_range))
-    target = float(matern_correlation(np.array([float(lag)]), matern_range, nu)[0])
+    target = float(matern_correlation(np.array([float(lag)]), matern_range)[0])
 
     def gap(a):
         return correlation_at_lag(a, grid, lag) - target

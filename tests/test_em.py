@@ -235,6 +235,12 @@ def test_quartic_profile_matches_profiled_q(n1, n2):
         q, s2 = price(alpha)
         np.testing.assert_allclose(q, q_direct, rtol=1e-12)
         np.testing.assert_allclose(s2, s2_direct, rtol=1e-12)
+        for sigma2 in (0.3, 1.5, 40.0):  # Q at a given sigma2, not profiled
+            eta = CovParams(sigma2, alpha)
+            q, s2 = price(alpha, sigma2)
+            np.testing.assert_allclose(q, q_tilde(P, quasi_matern_spectrum(eta, grid), grid),
+                                       rtol=1e-12)
+            assert s2 == sigma2
 
 
 def test_quartic_profile_memo_prices_exactly_as_a_fresh_profile(monkeypatch):
@@ -404,6 +410,31 @@ def test_m_step_that_lowers_q_is_rejected(monkeypatch):
     np.testing.assert_array_equal(res.theta_star.beta, beta0)
     q_inc, q_new = res.objective_trace.T
     assert np.all(q_new >= q_inc)
+
+
+def test_em_step_builds_one_field_and_prices_q_as_q_tilde(monkeypatch):
+    # the E-step's spectrum is the map's only SpectralField: the incumbent,
+    # the GLS candidate and the range candidate are priced in closed form,
+    # to the numbers the any-spectrum q_tilde gives at the same parameters
+    Y, X, grid = small_dataset(seed=7)
+    config = FitConfig(M=2, seed=0)
+    beta, eta, W = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
+    seen = {}
+    builds = []
+    check = SpectralField.__post_init__
+    monkeypatch.setattr(SpectralField, "__post_init__",
+                        lambda self: builds.append(1) or check(self))
+    monkeypatch.setattr(em, "q_tilde", lambda *args: pytest.fail("q_tilde on the fit path"))
+    real = em.make_probes
+    monkeypatch.setattr(em, "make_probes",
+                        lambda *args: seen.setdefault("probes", real(*args)))
+    beta_new, eta_new, W_new, _, q_inc, q_new = em_step(Y, X, grid, config, beta, eta, W, {})
+    assert len(builds) == 1
+    assert not np.array_equal(beta_new, beta) and eta_new != eta
+    for b, e, q in ((beta, eta, q_inc), (beta_new, eta_new, q_new)):
+        P = spectrum(W_new - X @ b, seen["probes"], grid)
+        want = q_tilde(P, quasi_matern_spectrum(e, grid), grid)
+        np.testing.assert_allclose(q, want, rtol=1e-12)
 
 
 def test_probe_vs_are_transformed_once_per_fit_and_us_once_per_map(monkeypatch):
@@ -647,6 +678,7 @@ def test_fit_rejects_non_finite_design(bad):
     {"alpha_bounds": (3.0, 2.0)},
     {"alpha_bounds": (0.0, 1.0)},
     {"alpha_bounds": (1.0, 2.0, 3.0)},
+    {"alpha_bounds": (1.0, float("inf"))},
     {"alpha_bounds": 5},
     {"M": "x"},
     {"max_em": 2.5},

@@ -69,6 +69,7 @@ def test_gridspec_centers_order():
     dict(n1=4, n2=-1, x_min=0, x_max=1, y_min=0, y_max=1),
     dict(n1=4, n2=4, x_min=1, x_max=1, y_min=0, y_max=1),
     dict(n1=4, n2=4, x_min=0, x_max=1, y_min=2, y_max=1),
+    dict(n1=4, n2=4, x_min=0, x_max=float("inf"), y_min=0, y_max=1),
 ])
 def test_gridspec_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -44,6 +44,8 @@ def test_fit_digest_repeats_across_runs(tmp_path):
     runs = [run_script("fit_digest.py", "--workload", "smoke", "--seed", "0", "3",
                        cwd=tmp_path) for _ in range(2)]
     assert runs[0] == runs[1]
-    assert [line.rsplit(" ", 1)[0] for line in runs[0]] == ["smoke seed 0", "smoke seed 3"]
-    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in runs[0])
-    assert runs[0][0] != runs[0][1]
+    words = [line.split() for line in runs[0]]
+    assert [w[:3] for w in words] == [["smoke", "seed", "0"], ["smoke", "seed", "3"]]
+    assert all(w[3::2] == ["fit", "objective"] for w in words)
+    assert all(len(hex_) == 64 for w in words for hex_ in w[4::2])
+    assert words[0][4] != words[1][4] and words[0][6] != words[1][6]

@@ -316,8 +316,8 @@ def test_inv_quadratic_form_positive(seed):
 
 def test_matern_correlation_values():
     assert matern_correlation(0.0, 18.0) == pytest.approx(1.0)
-    # rho(a) at nu=1 is K_1(1) by the (h/a) K_nu(h/a) form
-    assert matern_correlation(18.0, 18.0, nu=1.0) == pytest.approx(
+    # rho(a) is K_1(1) by the (h/a) K_1(h/a) form
+    assert matern_correlation(18.0, 18.0) == pytest.approx(
         float(special.kv(1, 1.0)), rel=1e-12)
     h = np.linspace(0.0, 80.0, 41)
     rho = matern_correlation(h, 18.0)
@@ -336,9 +336,9 @@ def test_correlation_at_lag_matches_dense():
 
 def test_calibrated_range_hits_matern_target():
     grid = GridSpec.unit(70, 70)
-    alpha = calibrate_range_to_matern(grid, 18.0, nu=1.0)
+    alpha = calibrate_range_to_matern(grid, 18.0)
     got = correlation_at_lag(alpha, grid, 18)
-    target = matern_correlation(18.0, 18.0, nu=1.0)
+    target = matern_correlation(18.0, 18.0)
     assert abs(got - target) < 1e-8          # far inside the 0.02 contract
     assert alpha == pytest.approx(29.91305580069937, abs=1e-6)
 
