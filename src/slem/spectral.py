@@ -112,14 +112,18 @@ def frequency_sines(grid: GridSpec) -> np.ndarray:
     return s1[:, None] + s2[None, :]
 
 
-def quasi_matern_shape(alpha: float, grid: GridSpec) -> np.ndarray:
-    """Unit-variance spectrum shape (1 + alpha^2 s(omega))^-2, s from frequency_sines."""
-    return (1.0 + alpha**2 * frequency_sines(grid)) ** -2.0
+def quasi_matern_shape(alpha: float, grid: GridSpec, sines=None) -> np.ndarray:
+    """Unit-variance spectrum shape (1 + alpha^2 s(omega))^-2, s from
+    frequency_sines, or sines if given (frequency_sines(grid), taken once by
+    a caller that builds many spectra on one grid)."""
+    s = frequency_sines(grid) if sines is None else sines
+    return (1.0 + alpha**2 * s) ** -2.0
 
 
-def quasi_matern_spectrum(eta: CovParams, grid: GridSpec) -> SpectralField:
-    """Spectral density sigma2 (1 + alpha^2 sin^2(w1/2) + alpha^2 sin^2(w2/2))^-2."""
-    return SpectralField(eta.sigma2 * quasi_matern_shape(eta.alpha, grid))
+def quasi_matern_spectrum(eta: CovParams, grid: GridSpec, sines=None) -> SpectralField:
+    """Spectral density sigma2 (1 + alpha^2 sin^2(w1/2) + alpha^2 sin^2(w2/2))^-2;
+    sines as in quasi_matern_shape."""
+    return SpectralField(eta.sigma2 * quasi_matern_shape(eta.alpha, grid, sines))
 
 
 def marginal_variance(eta: CovParams, grid: GridSpec) -> float:
@@ -131,11 +135,13 @@ def marginal_variance(eta: CovParams, grid: GridSpec) -> float:
     return eta.sigma2 * float(np.mean(quasi_matern_shape(eta.alpha, grid)))
 
 
-def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec) -> float:
-    """Spectral sigma2 giving the requested pixel variance at this alpha."""
+def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec,
+                           sines=None) -> float:
+    """Spectral sigma2 giving the requested pixel variance at this alpha;
+    sines as in quasi_matern_shape."""
     if variance <= 0:
         raise ConfigError(f"variance must be positive, got {variance}")
-    return variance / float(np.mean(quasi_matern_shape(alpha, grid)))
+    return variance / float(np.mean(quasi_matern_shape(alpha, grid, sines)))
 
 
 # ---------------------------------------------------------------------------

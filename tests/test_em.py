@@ -14,7 +14,7 @@ from slem import (CollinearityError, ConfigError, CountGrid, CovParams,
                   quasi_matern_spectrum, sample_gp, sigma_inv_matvec,
                   simulate_dataset, unflatten, update_beta,
                   update_eta)
-from slem import em, laplace, trace
+from slem import em, laplace, spectral, trace
 from slem.em import _pack, em_step, glm_start, quartic_profile, squarem
 
 GRID6 = GridSpec.unit(6, 6)
@@ -475,6 +475,24 @@ def test_design_columns_are_transformed_once_per_fit(monkeypatch):
     res = fit(Y, X, grid, FitConfig(max_em=3, eps_em=1e-300, seed=0))
     assert res.em_iterations == 3
     assert seen == [1, 1, 1]
+
+
+def test_frequency_sines_are_computed_once_per_fit(monkeypatch):
+    # the start, every map's spectrum and quartic profiles, and the final
+    # refresh all read the fit's one copy
+    Y, X, grid = small_dataset(seed=8)
+    calls = []
+    real = spectral.frequency_sines
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spectral, "frequency_sines", counting)
+    monkeypatch.setattr(em, "frequency_sines", counting)
+    res = fit(Y, X, grid, FitConfig(max_em=3, eps_em=1e-300, seed=0))
+    assert res.em_iterations == 3
+    assert calls == [grid]
 
 
 def test_probes_are_drawn_from_config_seed_on_every_map(monkeypatch):
