@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a fit and an objective sha256 digest per benchmark fit.
+"""Print a fit and an objective sha256 digest, and the work counts, per benchmark fit.
 
 Run at two commits and compare, to show that a change leaves fits
 bit-identical:
@@ -12,8 +12,15 @@ and not modified).  The fit digest covers theta*, W*, Z*, the map count, the
 converged flag, the diagnostics without runtime_seconds and every array
 estimate_intensity returns; the objective digest covers the objective trace
 alone, so a change that prices Q differently at rounding level can show that
-the fit itself is unchanged.  Each line reads
-"<workload> seed <seed> fit <hex> objective <hex>".
+the fit itself is unchanged.  The digests are followed by the fit's work
+counts, which repeat exactly from run to run where its wall time does not,
+so a solver change can be sized without timing noise.  Each line reads
+
+    <workload> seed <seed> fit <hex> objective <hex> maps <int>
+    converged <bool> newton_steps <int> newton_pcg_iterations <int>
+    probe_pcg_iterations <int>
+
+on one line.
 """
 import argparse
 import hashlib
@@ -28,6 +35,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import run as perfbench  # noqa: E402  (pins BLAS threads, imports slem from src/)
+
+COUNT_KEYS = ("newton_steps", "newton_pcg_iterations", "probe_pcg_iterations")
 
 
 def sha256(*arrays, extra=None) -> str:
@@ -51,6 +60,14 @@ def fit_digests(res, est) -> tuple:
     return fit, sha256(("objective", res.objective_trace))
 
 
+def work_counts(res) -> dict:
+    """The map count, the converged flag and the Newton and PCG work of a fit."""
+    counts = {"maps": res.em_iterations, "converged": res.converged}
+    for key in COUNT_KEYS:
+        counts[key] = res.diagnostics.get(key, 0)
+    return counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", nargs="+", required=True, choices=sorted(perfbench.WORKLOADS))
@@ -64,7 +81,8 @@ def main(argv=None) -> int:
             inputs = perfbench.set_up(perfbench.WORKLOADS[name], args.scenario_seed, seed)
             res = perfbench.run_fit(inputs)
             fit, objective = fit_digests(res, perfbench.run_predict(inputs, res))
-            print(f"{name} seed {seed} fit {fit} objective {objective}", flush=True)
+            counts = " ".join(f"{k} {v}" for k, v in work_counts(res).items())
+            print(f"{name} seed {seed} fit {fit} objective {objective} {counts}", flush=True)
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid
-from .pcg import SpdOperator, pcg_solve
+from .pcg import FORCING, SpdOperator, pcg_solve
 from .spectral import SpectralField, _filter, sigma_inv_matvec
 
 EXP_CLAMP = 50.0  # exp argument cap; anything above is already astronomical
@@ -86,11 +86,16 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
                 diagnostics=None) -> LaplaceFit:
     """Newton iteration for the posterior mode of W.
 
-    Each step solves (Sigma^{-1} + C) step = score by PCG; a full step that
-    decreases the log posterior is halved up to 10 times.  Stops when
-    n^{-1/2} ||W_{l+1} - W_l|| < epsilon.  The score at an accepted W reuses
-    the Sigma^{-1} transform its log posterior already made, so each
-    evaluation of the posterior costs one transform pair.
+    Each step solves (Sigma^{-1} + C) step = score by PCG from zero, so the
+    starting residual is the score, to the inexact-Newton stop: a residual
+    change of max(eps_pcg, FORCING . rms(score)) (pcg.py).  Far from the mode
+    a step is solved only to a tenth of its size; near it eps_pcg binds.  A
+    full step that decreases the log posterior is halved up to 10 times.
+    Stops when n^{-1/2} ||W_{l+1} - W_l|| < epsilon.  The score at an
+    accepted W reuses the Sigma^{-1} transform its log posterior already
+    made, so each evaluation of the posterior costs one transform pair.
+    diagnostics, if given, accumulates the steps (newton_steps) and their
+    PCG iterations (newton_pcg_iterations) over calls.
     """
     y_vec = Y.vector()
     delta = np.asarray(delta, dtype=float)
@@ -108,7 +113,8 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     for _ in range(max_newton):
         iterations += 1
         score = _score(W, y_vec, delta, prior_pull, diag)
-        sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg)
+        sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg,
+                        forcing=FORCING)
         diag["newton_pcg_iterations"] = diag.get("newton_pcg_iterations", 0) + sol.iterations
         if not sol.converged:
             diag["pcg_nonconverged"] = diag.get("pcg_nonconverged", 0) + 1
@@ -134,4 +140,5 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
             converged = True
             break
 
+    diag["newton_steps"] = diag.get("newton_steps", 0) + iterations
     return LaplaceFit(W, delta * clamped_exp(W), iterations, converged)

@@ -2,10 +2,18 @@
 
 The operator supplies its own preconditioner M^{-1} as a callable; for the
 posterior precision that is laplace.precision_operator's diagonally scaled
-circulant inverse.  The stopping rule is sqrt(mean((r_{k+1} - r_k)^2)) <=
-epsilon, checked from the first full iteration onward; an exact-solution
-guard (||r|| <= 1e-12 ||b||) catches systems solved in fewer steps than the
-change rule can see.
+circulant inverse.  The stopping rule is
+
+    sqrt(mean((r_{k+1} - r_k)^2)) <= max(epsilon, forcing . rms(r_0)),
+
+checked from the first full iteration onward, with r_0 = b - A x0 the
+starting residual.  forcing = 0 (the default) leaves the absolute stop
+epsilon alone; forcing = FORCING is the inexact-Newton forcing term
+(Dembo, Eisenstat & Steihaug 1982): a system whose solution only serves
+the next step of an outer iteration is solved to a tenth of its starting
+residual, and epsilon is the floor that binds once that residual is
+small.  An exact-solution guard (||r|| <= 1e-12 ||b||) catches systems
+solved in fewer steps than the change rule can see.
 """
 from __future__ import annotations
 
@@ -16,6 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+
+FORCING = 0.1  # relative stop of the solves that serve an outer iteration
 
 
 @dataclass(frozen=True)
@@ -48,20 +58,24 @@ def _preconditioned_norm2(r, z) -> float:
 
 
 def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
-              max_iter: int | None = None) -> PcgResult:
+              max_iter: int | None = None, forcing: float = 0.0) -> PcgResult:
     b = np.asarray(b, dtype=float)
     n = b.size
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 <= forcing < 1.0:
+        raise ConfigError(f"forcing must be in [0, 1), got {forcing}")
     if max_iter is not None and max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if max_iter is None:
         max_iter = default_max_iter(n)
 
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return PcgResult(np.zeros(n), 0, True)  # the exact solution, whatever x0 is
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = b.copy() if x0 is None else b - op.apply(x)  # no matvec on a zero start
-    bnorm = np.linalg.norm(b)
-    if np.linalg.norm(r) <= 1e-12 * bnorm or bnorm == 0.0:
+    if np.linalg.norm(r) <= 1e-12 * bnorm:
         return PcgResult(x, 0, True)
 
     z = np.asarray(op.precondition(r), dtype=float)
@@ -73,6 +87,7 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
     best_rnorm = np.linalg.norm(r)
     best_x = x.copy()
     sqrt_n = math.sqrt(n)
+    epsilon = max(epsilon, forcing * best_rnorm / sqrt_n)  # best_rnorm is ||r_0|| here
 
     for k in range(1, max_iter + 1):
         Ap = op.apply(p)

@@ -4,11 +4,12 @@ The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
 solved once per EM iteration.  The v's are the same on every map, so each
 solve starts from the previous map's u_i (make_probes' u0), which the change
 in (Sigma_t, C) between maps leaves a few PCG iterations from the new
-solution.  There is no estimator here: the M-step transforms the pairs once
-per iteration (em.probe_spectrum) and adds that spectrum to the power
-spectrum of each residual it prices, after which the trace
-(1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum over
-frequencies with no FFT.
+solution; such a solve stops at a tenth of its starting residual, floored
+at eps_pcg (pcg.FORCING).  There is no estimator here: the M-step
+transforms the pairs once per iteration (em.probe_spectrum) and adds that
+spectrum to the power spectrum of each residual it prices, after which the
+trace (1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum
+over frequencies with no FFT.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .laplace import precision_operator
-from .pcg import pcg_solve
+from .pcg import FORCING, pcg_solve
 from .spectral import SpectralField
 # unused here; kept for perfbench/tracing.py, which patches trace.sigma_inv_matvec
 from .spectral import sigma_inv_matvec  # noqa: F401
@@ -50,7 +51,13 @@ def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
                 eps_pcg: float = 1e-3, u0=None) -> ProbePairs:
     """Draw M Rademacher probes and solve (Sigma_t^{-1} + C) u = v for each,
     PCG starting from row i of the (M, n) array u0, or from zero if u0 is
-    None."""
+    None.
+
+    A warm solve's starting residual v - A u0 measures how far the operator
+    has moved since u0 was solved, so it stops at a residual change of
+    max(eps_pcg, FORCING . rms(v - A u0)).  A cold solve keeps the plain
+    eps_pcg stop: a tenth of rms(v) = 1 would leave u far looser than the
+    fit's fixed point allows."""
     if M < 1:
         raise ConfigError(f"probe count M must be >= 1, got {M}")
     if n != f_t.n:
@@ -63,8 +70,10 @@ def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
     u = np.empty_like(v)
     ok = np.empty(M, dtype=bool)
     iterations = 0
+    forcing = 0.0 if u0 is None else FORCING
     for i in range(M):
-        sol = pcg_solve(op, v[i], x0=None if u0 is None else u0[i], epsilon=eps_pcg)
+        sol = pcg_solve(op, v[i], x0=None if u0 is None else u0[i], epsilon=eps_pcg,
+                        forcing=forcing)
         u[i] = sol.x
         ok[i] = sol.converged
         iterations += sol.iterations

@@ -535,6 +535,23 @@ def test_diagnostics_total_pcg_iterations_per_kind(monkeypatch):
     assert res.diagnostics["probe_pcg_iterations"] == seen["probe"] > 0
 
 
+def test_diagnostics_total_newton_steps_over_every_call(monkeypatch):
+    # every map's mode and the final refresh at theta*
+    Y, X, grid = small_dataset(seed=8)
+    steps = []
+    real = em.newton_mode
+
+    def counting(*args, **kwargs):
+        lap = real(*args, **kwargs)
+        steps.append(lap.newton_iterations)
+        return lap
+
+    monkeypatch.setattr(em, "newton_mode", counting)
+    res = fit(Y, X, grid, FitConfig(max_em=4, eps_em=1e-300, seed=0))
+    assert len(steps) == res.em_iterations + 1 == 5
+    assert res.diagnostics["newton_steps"] == sum(steps) > len(steps)
+
+
 def test_warm_started_fit_is_as_close_to_a_tight_solve_as_a_cold_one(monkeypatch):
     # at the loose PCG stop the fixed point moves with how each probe solve
     # starts; on a single dataset either start can land closer to the

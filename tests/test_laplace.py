@@ -226,3 +226,21 @@ def test_sparse_counts_mode_finds_low_intensity():
     oracle = dense_newton_mode(Y.vector(), grid.delta(), np.zeros(64),
                                dense_sigma_inv(f))
     assert np.linalg.norm(fit.mode - oracle) / np.sqrt(64) < 1e-5
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inexact_newton_saves_pcg_iterations_and_keeps_the_mode(monkeypatch, seed):
+    # from W = X beta each system is solved to a tenth of its score; the
+    # fully solved systems (FORCING = 0) reach the same mode in more PCG
+    # iterations
+    grid = GridSpec.unit(32, 32)
+    Y, delta, Xbeta, f = make_instance(grid, CovParams(5.0, 2.0), seed=seed)
+    eps = 1e-3
+    forced_diag, plain_diag = {}, {}
+    forced = newton_mode(Y, delta, Xbeta, f, epsilon=eps, diagnostics=forced_diag)
+    monkeypatch.setattr(laplace, "FORCING", 0.0)
+    plain = newton_mode(Y, delta, Xbeta, f, epsilon=eps, diagnostics=plain_diag)
+    assert forced.converged and plain.converged
+    assert forced_diag["newton_pcg_iterations"] < plain_diag["newton_pcg_iterations"]
+    assert forced_diag["newton_steps"] == forced.newton_iterations
+    assert np.linalg.norm(forced.mode - plain.mode) / np.sqrt(grid.n) < eps

@@ -7,7 +7,7 @@ from oracles import dense_sigma_inv
 from slem import (ConfigError, CovParams, GridSpec, NumericalError,
                   SpdOperator, pcg_solve, quasi_matern_spectrum)
 from slem.laplace import precision_operator
-from slem.pcg import default_max_iter
+from slem.pcg import FORCING, default_max_iter
 
 
 def dense_operator(A):
@@ -56,6 +56,15 @@ def test_zero_rhs():
     assert res.converged
     assert res.iterations == 0
     np.testing.assert_array_equal(res.x, np.zeros(50))
+
+
+def test_zero_rhs_from_a_warm_start_returns_zero():
+    # the exact solution of A x = 0 is 0, not the starting guess
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    res = pcg_solve(dense_operator(A), np.zeros(2), x0=np.array([1.0, -2.0]))
+    assert res.converged
+    assert res.iterations == 0
+    np.testing.assert_array_equal(res.x, np.zeros(2))
 
 
 def test_exact_start_early_return():
@@ -141,9 +150,83 @@ def test_parameter_validation():
         pcg_solve(op, np.ones(3), epsilon=0.0)
     with pytest.raises(ConfigError):
         pcg_solve(op, np.ones(3), max_iter=0)
+    for forcing in (-0.1, 1.0, np.nan):
+        with pytest.raises(ConfigError, match="forcing"):
+            pcg_solve(op, np.ones(3), forcing=forcing)
     with pytest.raises(ConfigError):
         # a size-4 operator's preconditioner against a size-3 rhs
         pcg_solve(SpdOperator(apply=lambda v: v, precondition=lambda r: np.ones(4)), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# the inexact (forcing-term) stop
+# ---------------------------------------------------------------------------
+
+
+def jacobi_cg_changes(A, b, x0, steps):
+    """sqrt(mean((r_k - r_{k-1})^2)) for k = 1 .. steps of textbook
+    Jacobi-preconditioned CG from x0: the quantity pcg_solve's stop tests."""
+    d = np.diag(A)
+    r = b - A @ x0
+    z = r / d
+    p = z.copy()
+    changes = []
+    for _ in range(steps):
+        Ap = A @ p
+        alpha = (r @ z) / (p @ Ap)
+        r_new = r - alpha * Ap
+        changes.append(np.sqrt(np.mean((r_new - r) ** 2)))
+        z_new = r_new / d
+        p = z_new + (r_new @ z_new) / (r @ z) * p
+        r, z = r_new, z_new
+    return np.array(changes)
+
+
+def warm_start(A, b, seed):
+    """The solution perturbed by 10%, as an outer iteration's warm start is."""
+    x = np.linalg.solve(A, b)
+    noise = np.random.default_rng(seed).standard_normal(x.size)
+    return x + 0.1 * np.sqrt(np.mean(x * x)) * noise
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+@pytest.mark.parametrize("warm", [False, True])
+def test_zero_forcing_is_the_plain_stop(seed, warm):
+    A, b = spd_test_system(seed)
+    x0 = warm_start(A, b, seed) if warm else None
+    for eps in (1e-3, 1e-8):
+        plain = pcg_solve(dense_operator(A), b, x0=x0, epsilon=eps, max_iter=500)
+        zero = pcg_solve(dense_operator(A), b, x0=x0, epsilon=eps, max_iter=500, forcing=0.0)
+        np.testing.assert_array_equal(zero.x, plain.x)
+        assert zero.iterations == plain.iterations
+
+
+@pytest.mark.parametrize("seed", [1, 4, 6, 8])
+@pytest.mark.parametrize("warm", [False, True])
+def test_forcing_stops_at_the_first_change_below_a_tenth_of_the_start(seed, warm):
+    A, b = spd_test_system(seed)
+    x0 = warm_start(A, b, seed) if warm else np.zeros(b.size)
+    changes = jacobi_cg_changes(A, b, x0, 60)
+    r0_rms = np.sqrt(np.mean((b - A @ x0) ** 2))
+    eps = 1e-12  # far below the forcing term, which therefore binds
+    hits = np.nonzero(changes <= FORCING * r0_rms)[0]
+    assert hits.size
+    forced = pcg_solve(dense_operator(A), b, x0=x0, epsilon=eps, max_iter=500, forcing=FORCING)
+    plain = pcg_solve(dense_operator(A), b, x0=x0, epsilon=eps, max_iter=500)
+    assert forced.converged
+    assert forced.iterations == hits[0] + 1 < plain.iterations
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_epsilon_is_the_floor_of_the_forcing_stop(seed):
+    # where epsilon exceeds a tenth of the starting residual it binds, and the
+    # solve is the plain one
+    A, b = spd_test_system(seed)
+    eps = 2.0 * FORCING * np.sqrt(np.mean(b * b))
+    forced = pcg_solve(dense_operator(A), b, epsilon=eps, forcing=FORCING)
+    plain = pcg_solve(dense_operator(A), b, epsilon=eps)
+    np.testing.assert_array_equal(forced.x, plain.x)
+    assert forced.iterations == plain.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_posterior_precision, dense_trace, trace_term
-from slem import (ConfigError, CovParams, GridSpec, ProbePairs, make_probes,
+from slem import (ConfigError, CovParams, GridSpec, ProbePairs, make_probes, pcg_solve,
                   quasi_matern_spectrum, sigma_matvec, trace)
+from slem.laplace import precision_operator
 
 GRID8 = GridSpec.unit(8, 8)
 ETA_T = CovParams(1.5, 3.0)
@@ -70,6 +71,36 @@ def test_warm_start_from_a_tight_solution_stops_at_once(monkeypatch):
     np.testing.assert_array_equal(warm.v, tight.v)
     assert np.max(np.abs(warm.u - tight.u)) <= 1e-3
     assert warm.solve_converged.all()
+
+
+def test_cold_probe_solves_keep_the_plain_stop():
+    # no forcing term without a start: a tenth of rms(v) = 1 would be looser
+    # than the fit's fixed point allows
+    f_t, c = standard_instance(3)
+    probes = make_probes(3, 64, seed=7, f_t=f_t, c_diag=c, eps_pcg=1e-3)
+    op = precision_operator(f_t, c)
+    for v, u in zip(probes.v, probes.u):
+        np.testing.assert_array_equal(u, pcg_solve(op, v, epsilon=1e-3).x)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_probe_solves_stop_at_a_tenth_of_their_start(monkeypatch, seed):
+    # between EM maps the spectrum and the curvature move; the solve from the
+    # last map's u need only close a tenth of the residual that move left
+    f_t, c = standard_instance(seed)
+    start = make_probes(4, 64, seed=5, f_t=f_t, c_diag=c, eps_pcg=1e-10).u
+    f_new = quasi_matern_spectrum(CovParams(1.65, 2.85), GRID8)
+    c_new = c * np.exp(0.3 * np.random.default_rng(seed + 10).standard_normal(64))
+
+    def solve():
+        return make_probes(4, 64, seed=5, f_t=f_new, c_diag=c_new, eps_pcg=1e-6, u0=start)
+
+    forced = solve()
+    monkeypatch.setattr(trace, "FORCING", 0.0)
+    plain = solve()
+    assert forced.solve_converged.all() and plain.solve_converged.all()
+    assert forced.pcg_iterations < plain.pcg_iterations
+    assert np.max(np.abs(forced.u - plain.u)) < 1e-3
 
 
 @pytest.mark.parametrize("shape", [(3, 64), (4, 63), (64,), (1, 4, 64)])
