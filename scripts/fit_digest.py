@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print a fit and an objective sha256 digest, and the work counts, per benchmark fit.
+"""Print a fit and an objective sha256 digest and the work counts per benchmark fit.
 
 Run at two commits and compare, to show that a change leaves fits
 bit-identical:
@@ -36,8 +36,6 @@ import numpy as np  # noqa: E402
 
 import run as perfbench  # noqa: E402  (pins BLAS threads, imports slem from src/)
 
-COUNT_KEYS = ("newton_steps", "newton_pcg_iterations", "probe_pcg_iterations")
-
 
 def sha256(*arrays, extra=None) -> str:
     """Digest of the named arrays (name, array) and the JSON of extra."""
@@ -62,10 +60,9 @@ def fit_digests(res, est) -> tuple:
 
 def work_counts(res) -> dict:
     """The map count, the converged flag and the Newton and PCG work of a fit."""
-    counts = {"maps": res.em_iterations, "converged": res.converged}
-    for key in COUNT_KEYS:
-        counts[key] = res.diagnostics.get(key, 0)
-    return counts
+    work = ("newton_steps", "newton_pcg_iterations", "probe_pcg_iterations")
+    return {"maps": res.em_iterations, "converged": res.converged,
+            **{key: res.diagnostics[key] for key in work}}
 
 
 def main(argv=None) -> int:
