@@ -3,7 +3,7 @@
 from .covariates import (CovariateMatrix, MinuteStack, block_summaries,
                          select_summary, standardize, summarize_blocks)
 from .em import (FitConfig, FitResult, Theta, fit, power_spectrum, probe_spectrum,
-                 q_tilde, update_beta, update_eta)
+                 q_tilde, quartic_profile, update_beta, update_eta)
 from .errors import CollinearityError, ConfigError, NumericalError, SlemError
 from .grid import (CountGrid, GridSpec, PointPattern, bin_points, domain_mask,
                    flatten, split_train_test, unflatten)
@@ -34,7 +34,7 @@ __all__ = [
     "local_variance", "log_det", "log_score",
     "make_probes", "marginal_variance", "matern_correlation", "newton_mode",
     "pcg_solve", "posterior_score", "power_spectrum", "probe_spectrum",
-    "q_tilde", "quasi_matern_spectrum", "recover_z",
+    "q_tilde", "quartic_profile", "quasi_matern_spectrum", "recover_z",
     "rmse_log_intensity", "sample_gp", "scatter_points", "select_summary",
     "sigma_inv_matvec", "sigma_matvec", "simulate_dataset",
     "split_train_test", "standardize", "summarize_blocks", "unflatten",

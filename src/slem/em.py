@@ -18,20 +18,19 @@ frequencies of a power spectrum P(omega) of the residual and the probe pairs,
 divided by the candidate spectrum.  Each map transforms the probe solves u
 once and the residual once per beta it prices (the incumbent and, under the
 joint scheme, the GLS candidate).  For the quasi-Matern shape the sum over P
-is a quartic in alpha whose three coefficients are moments of P
-(quartic_profile), so the incumbent, the GLS candidate and every range
-candidate are priced from P without an FFT or a spectrum: a candidate costs
-one O(n) log sum the first time its alpha is priced in a fit and O(1) after
-that.  The map builds one SpectralField, the E-step's.  q_tilde prices Q at
-any spectrum; it is the reference the tests check the closed form against,
-not part of the fit.
+is a quartic in alpha whose three coefficients are moments of P.
+quartic_profile takes those moments once per residual and returns the price
+of any (alpha, sigma2); the incumbent, the GLS candidate and every range
+candidate update_eta searches are priced from it without an FFT or a
+spectrum: a candidate costs one O(n) log sum the first time its alpha is
+priced in a fit and O(1) after that.  The map builds one SpectralField, the
+E-step's.  q_tilde prices Q at any spectrum; it is the reference the tests
+check the closed form against, not part of the fit.
 
 Work that depends only on the grid and the fit's fixed inputs is done once
 per fit (FitInvariants): the forward transforms of the design columns, which
-leave the GLS step one inverse transform per column, the frequency sines
-that every quasi-Matern spectrum and quartic profile of the fit is built
-from, the transforms of the probes' v's, and the log sums of the range
-candidates.
+leave the GLS step one inverse transform per column, the transforms of the
+probes' v's, and the log sums of the range candidates.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
@@ -171,9 +170,7 @@ class FitResult:
 class FitInvariants:
     """What every EM map of one fit shares and none changes.
 
-    column_dfts holds design_dfts(X) for update_beta; sines holds
-    frequency_sines(grid), read-only, for every spectrum and every
-    quartic_profile the fit builds; log_det_g memoizes
+    column_dfts holds design_dfts(X) for update_beta; log_det_g memoizes
     quartic_profile's sum log g_alpha per exact alpha; probe_dfts holds the
     probes' v's and their transforms, taken on the first map that sees those
     v's.  fit builds one and drops it when it returns, so no fit sees
@@ -181,16 +178,13 @@ class FitInvariants:
     """
 
     column_dfts: list
-    sines: np.ndarray
     log_det_g: dict = field(default_factory=dict)
     probe_dfts: tuple | None = None  # (v, row_dfts(v, grid))
 
     @classmethod
     def of(cls, X, grid: GridSpec) -> "FitInvariants":
         """The invariants of a fit of the design X on grid, memos empty."""
-        sines = frequency_sines(grid)
-        sines.flags.writeable = False
-        return cls(design_dfts(X, (grid.n1, grid.n2)), sines)
+        return cls(design_dfts(X, (grid.n1, grid.n2)))
 
     def v_dfts(self, probes: ProbePairs, grid: GridSpec) -> np.ndarray:
         """row_dfts(probes.v, grid), transformed only when the v's change."""
@@ -287,7 +281,7 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
-def quartic_profile(P, grid: GridSpec, log_det_g=None, sines=None):
+def quartic_profile(P, grid: GridSpec, log_det_g=None):
     """(alpha, sigma2=None) -> (Q at (sigma2, alpha), sigma2), with sigma2,
     if not given, the one that maximizes Q at alpha.
 
@@ -298,10 +292,9 @@ def quartic_profile(P, grid: GridSpec, log_det_g=None, sines=None):
     + alpha^4 C for the moments A = sum P, B = sum P s and C = sum P s^2,
     taken once; only sum log g_alpha = -2 sum log1p(alpha^2 s) stays O(n),
     and it depends on alpha and the grid alone: the dict log_det_g, if
-    given, memoizes it per exact alpha across calls on the same grid.  sines,
-    if given, is frequency_sines(grid), taken once by the caller.
+    given, memoizes it per exact alpha across calls on the same grid.
     """
-    s = frequency_sines(grid) if sines is None else sines
+    s = frequency_sines(grid)
     Ps = P * s
     A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
     memo = {} if log_det_g is None else log_det_g
@@ -318,25 +311,18 @@ def quartic_profile(P, grid: GridSpec, log_det_g=None, sines=None):
     return price
 
 
-def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
-               diagnostics=None, log_det_g=None, sines=None) -> CovParams:
-    """Profiled 1-D maximization over alpha for the power spectrum P, each
-    candidate priced by quartic_profile (with its log_det_g memo and sines,
-    if given):
-    coarse log-grid scan, then golden-section to 1e-4 relative width, then a
-    keep-the-better comparison with the incumbent range so the step never
-    loses ground."""
+def update_eta(price, bounds, incumbent: CovParams | None = None,
+               diagnostics=None) -> CovParams:
+    """Profiled 1-D maximization over alpha of price, the quartic_profile of
+    a power spectrum P: coarse log-grid scan, then golden-section to 1e-4
+    relative width, then a keep-the-better comparison with the incumbent
+    range so the step never loses ground."""
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0 < lo < hi < np.inf:
         raise ConfigError(f"alpha bounds must satisfy 0 < lo < hi < inf, got {bounds}")
 
-    price = quartic_profile(P, grid, log_det_g, sines)
-    cache = {}
-
     def phi(a):
-        if a not in cache:
-            cache[a] = price(a)
-        return cache[a][0]
+        return price(a)[0]
 
     coarse = np.geomspace(lo, hi, 25)
     best = int(np.argmax([phi(a) for a in coarse]))
@@ -361,7 +347,7 @@ def update_eta(P, grid: GridSpec, bounds, incumbent: CovParams | None = None,
     if incumbent is not None and lo <= incumbent.alpha <= hi:
         candidates.append(incumbent.alpha)
     alpha_hat = max(candidates, key=phi)
-    s2 = cache[alpha_hat][1]
+    s2 = price(alpha_hat)[1]
 
     if diagnostics is not None and (alpha_hat / lo < 1.001 or hi / alpha_hat < 1.001):
         diagnostics["alpha_bound_hits"] = diagnostics.get("alpha_bound_hits", 0) + 1
@@ -393,7 +379,7 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
     """
     if invariants is None:
         invariants = FitInvariants.of(X, grid)
-    f = quasi_matern_spectrum(eta, grid, invariants.sines)
+    f = quasi_matern_spectrum(eta, grid)
     Xbeta = X @ beta
     lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
                       max_newton=config.max_newton, eps_pcg=config.eps_pcg,
@@ -408,21 +394,20 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
     probe_part = probe_spectrum(probes, grid, invariants.v_dfts(probes, grid))
 
-    memo, sines = invariants.log_det_g, invariants.sines
-    P = power_spectrum(W - Xbeta, grid, probe_part)
-    price = quartic_profile(P, grid, memo, sines)
+    memo = invariants.log_det_g
+    price = quartic_profile(power_spectrum(W - Xbeta, grid, probe_part), grid, memo)
     q_inc = q_mid = price(eta.alpha, eta.sigma2)[0]
     if X.shape[1] > 0 and config.scheme == "joint":
         beta_cand = update_beta(W, X, f, invariants.column_dfts)
-        P_cand = power_spectrum(W - X @ beta_cand, grid, probe_part)
-        price_cand = quartic_profile(P_cand, grid, memo, sines)
+        price_cand = quartic_profile(power_spectrum(W - X @ beta_cand, grid, probe_part),
+                                     grid, memo)
         q_cand = price_cand(eta.alpha, eta.sigma2)[0]
         if q_cand >= q_inc:
-            beta, P, price, q_mid = beta_cand, P_cand, price_cand, q_cand
+            beta, price, q_mid = beta_cand, price_cand, q_cand
 
     # eta step on the residual at the chosen beta; q_new is the number it maximized
-    eta_cand = update_eta(P, grid, _alpha_bounds(config, grid), incumbent=eta,
-                          diagnostics=diagnostics, log_det_g=memo, sines=sines)
+    eta_cand = update_eta(price, _alpha_bounds(config, grid), incumbent=eta,
+                          diagnostics=diagnostics)
     q_new = price(eta_cand.alpha, eta_cand.sigma2)[0]
     if q_new >= q_mid:
         eta = eta_cand
@@ -497,13 +482,12 @@ def _unpack(x):
     return x[:-2], CovParams(float(eta[0]), float(eta[1]))
 
 
-def glm_start(Y: CountGrid, X, grid: GridSpec, bounds, sines=None):
+def glm_start(Y: CountGrid, X, grid: GridSpec, bounds):
     """Starting (beta, eta, W): the Poisson GLM beta_0, W_0 = X beta_0, the
     range n1/4 clipped to its bounds, and the amplitude giving the pixel
     variance v = log(1 + sum((y - mu)^2 - mu) / sum(mu^2)), the lognormal
     moment of the counts' excess dispersion around the GLM mean mu (floored
-    at START_VARIANCE_FLOOR when there is none).  sines, if given, is
-    frequency_sines(grid)."""
+    at START_VARIANCE_FLOOR when there is none)."""
     y = Y.vector()
     delta = grid.delta()
     beta, _ = _poisson_irls(y, delta, X)
@@ -512,7 +496,7 @@ def glm_start(Y: CountGrid, X, grid: GridSpec, bounds, sines=None):
     excess, scale = float(np.sum((y - mu) ** 2 - mu)), float(np.sum(mu * mu))
     v = np.log1p(excess / scale) if excess > 0 and scale > 0 else 0.0
     alpha = float(np.clip(grid.n1 / 4.0, *bounds))
-    sigma2 = amplitude_for_variance(max(v, START_VARIANCE_FLOOR), alpha, grid, sines)
+    sigma2 = amplitude_for_variance(max(v, START_VARIANCE_FLOOR), alpha, grid)
     return beta, CovParams(sigma2, alpha), W
 
 
@@ -532,7 +516,7 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     t0 = time.perf_counter()
     bounds = _alpha_bounds(config, grid)
     invariants = FitInvariants.of(X, grid)
-    beta, eta, W = glm_start(Y, X, grid, bounds, invariants.sines)
+    beta, eta, W = glm_start(Y, X, grid, bounds)
 
     rows = []
 
@@ -553,7 +537,7 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
 
     # refresh the mode at the final theta so W* matches theta*
     Xbeta = X @ beta
-    f = quasi_matern_spectrum(eta, grid, invariants.sines)
+    f = quasi_matern_spectrum(eta, grid)
     lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
                       max_newton=config.max_newton, eps_pcg=config.eps_pcg,
                       diagnostics=diagnostics)

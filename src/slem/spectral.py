@@ -29,7 +29,7 @@ scipy.special for the Bessel function K_1 when it is first called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,24 +106,29 @@ class SpectralField:
 
 
 def frequency_sines(grid: GridSpec) -> np.ndarray:
-    """s(omega) = sin^2(w1/2) + sin^2(w2/2) on the n1 x n2 frequency grid."""
-    s1 = np.sin(np.pi * np.arange(grid.n1) / grid.n1) ** 2
-    s2 = np.sin(np.pi * np.arange(grid.n2) / grid.n2) ** 2
-    return s1[:, None] + s2[None, :]
+    """s(omega) = sin^2(w1/2) + sin^2(w2/2) on the n1 x n2 frequency grid,
+    read-only, computed once per grid shape and shared by every caller."""
+    return _sines(grid.n1, grid.n2)
 
 
-def quasi_matern_shape(alpha: float, grid: GridSpec, sines=None) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _sines(n1: int, n2: int) -> np.ndarray:
+    s1 = np.sin(np.pi * np.arange(n1) / n1) ** 2
+    s2 = np.sin(np.pi * np.arange(n2) / n2) ** 2
+    s = s1[:, None] + s2[None, :]
+    s.flags.writeable = False
+    return s
+
+
+def quasi_matern_shape(alpha: float, grid: GridSpec) -> np.ndarray:
     """Unit-variance spectrum shape (1 + alpha^2 s(omega))^-2, s from
-    frequency_sines, or sines if given (frequency_sines(grid), taken once by
-    a caller that builds many spectra on one grid)."""
-    s = frequency_sines(grid) if sines is None else sines
-    return (1.0 + alpha**2 * s) ** -2.0
+    frequency_sines."""
+    return (1.0 + alpha**2 * frequency_sines(grid)) ** -2.0
 
 
-def quasi_matern_spectrum(eta: CovParams, grid: GridSpec, sines=None) -> SpectralField:
-    """Spectral density sigma2 (1 + alpha^2 sin^2(w1/2) + alpha^2 sin^2(w2/2))^-2;
-    sines as in quasi_matern_shape."""
-    return SpectralField(eta.sigma2 * quasi_matern_shape(eta.alpha, grid, sines))
+def quasi_matern_spectrum(eta: CovParams, grid: GridSpec) -> SpectralField:
+    """Spectral density sigma2 (1 + alpha^2 sin^2(w1/2) + alpha^2 sin^2(w2/2))^-2."""
+    return SpectralField(eta.sigma2 * quasi_matern_shape(eta.alpha, grid))
 
 
 def marginal_variance(eta: CovParams, grid: GridSpec) -> float:
@@ -135,13 +140,11 @@ def marginal_variance(eta: CovParams, grid: GridSpec) -> float:
     return eta.sigma2 * float(np.mean(quasi_matern_shape(eta.alpha, grid)))
 
 
-def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec,
-                           sines=None) -> float:
-    """Spectral sigma2 giving the requested pixel variance at this alpha;
-    sines as in quasi_matern_shape."""
+def amplitude_for_variance(variance: float, alpha: float, grid: GridSpec) -> float:
+    """Spectral sigma2 giving the requested pixel variance at this alpha."""
     if variance <= 0:
         raise ConfigError(f"variance must be positive, got {variance}")
-    return variance / float(np.mean(quasi_matern_shape(alpha, grid, sines)))
+    return variance / float(np.mean(quasi_matern_shape(alpha, grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from slem import (CountGrid, CovParams, FitConfig, GridSpec, SimScenario,
                   fit, interior_mask, local_variance,
                   log_det, log_score, make_probes, newton_mode,
                   posterior_score, power_spectrum, probe_spectrum, q_tilde,
-                  quasi_matern_spectrum, rmse_log_intensity, sample_gp,
+                  quartic_profile, quasi_matern_spectrum, rmse_log_intensity, sample_gp,
                   sigma_inv_matvec, sigma_matvec, simulate_dataset,
                   unflatten, update_beta, update_eta)
 from test_golden import EXPECTED_ROOT, assert_numeric_close, normalized_text
@@ -165,7 +165,7 @@ def test_04_m_step_updates_match_brute_force():
         c = 0.2 + np.random.default_rng(seed).random(grid.n)
         probes = make_probes(20, grid.n, seed, f_t, c, eps_pcg=1e-10)
         P = power_spectrum(W, grid, probe_spectrum(probes, grid))
-        eta_hat = update_eta(P, grid, bounds)
+        eta_hat = update_eta(quartic_profile(P, grid), bounds)
 
         q_grid = np.empty((sigmas.size, alphas.size))
         for j, a in enumerate(alphas):

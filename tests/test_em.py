@@ -268,7 +268,7 @@ def test_quartic_profile_memo_prices_exactly_as_a_fresh_profile(monkeypatch):
 def test_update_eta_dominates_2d_grid_search():
     W, X, c, probes = em_instance(PARAM_SETS[0], seed=11, M=3)
     bounds = (1e-2, 6.0)
-    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, bounds)
+    eta_hat = update_eta(quartic_profile(spectrum(W, probes, GRID6), GRID6), bounds)
 
     alphas = np.geomspace(bounds[0], bounds[1], 40)
     sigmas = np.geomspace(0.05, 100.0, 49)
@@ -294,7 +294,8 @@ def test_update_eta_dominates_2d_grid_search():
 def test_update_eta_never_loses_to_incumbent():
     W, X, c, probes = em_instance(PARAM_SETS[1], seed=12)
     incumbent = CovParams(0.37, 2.2)
-    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, (1e-2, 6.0), incumbent=incumbent)
+    eta_hat = update_eta(quartic_profile(spectrum(W, probes, GRID6), GRID6), (1e-2, 6.0),
+                         incumbent=incumbent)
     q_new = q_at(eta_hat, W, probes, GRID6)
     q_inc = q_at(incumbent, W, probes, GRID6)
     assert q_new >= q_inc - 1e-9 * (1 + abs(q_inc))
@@ -303,7 +304,7 @@ def test_update_eta_never_loses_to_incumbent():
 def test_update_eta_records_bound_hits():
     W, _, _, probes = em_instance(PARAM_SETS[0], seed=13)
     diagnostics = {}
-    eta_hat = update_eta(spectrum(W, probes, GRID6), GRID6, (6.0, 6.01),
+    eta_hat = update_eta(quartic_profile(spectrum(W, probes, GRID6), GRID6), (6.0, 6.01),
                          diagnostics=diagnostics)
     assert 6.0 <= eta_hat.alpha <= 6.01
     assert diagnostics["alpha_bound_hits"] >= 1
@@ -313,7 +314,7 @@ def test_update_eta_records_bound_hits():
 def test_update_eta_rejects_bad_bounds(bounds):
     W, _, _, probes = em_instance(PARAM_SETS[0], seed=14)
     with pytest.raises(ConfigError):
-        update_eta(spectrum(W, probes, GRID6), GRID6, bounds)
+        update_eta(quartic_profile(spectrum(W, probes, GRID6), GRID6), bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +478,37 @@ def test_design_columns_are_transformed_once_per_fit(monkeypatch):
     assert seen == [1, 1, 1]
 
 
-def test_frequency_sines_are_computed_once_per_fit(monkeypatch):
+def test_frequency_sines_are_computed_once_per_grid_shape():
     # the start, every map's spectrum and quartic profiles, and the final
-    # refresh all read the fit's one copy
+    # refresh all read one memoized, read-only copy per grid shape
     Y, X, grid = small_dataset(seed=8)
-    calls = []
-    real = spectral.frequency_sines
-
-    def counting(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(spectral, "frequency_sines", counting)
-    monkeypatch.setattr(em, "frequency_sines", counting)
+    spectral._sines.cache_clear()
     res = fit(Y, X, grid, FitConfig(max_em=3, eps_em=1e-300, seed=0))
     assert res.em_iterations == 3
-    assert calls == [grid]
+    assert spectral._sines.cache_info().misses == 1
+    s = spectral.frequency_sines(grid)
+    assert spectral.frequency_sines(GridSpec(grid.n1, grid.n2, -1.0, 3.0, 0.0, 5.0)) is s
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 1.0
+    other = spectral.frequency_sines(GridSpec.unit(grid.n1, grid.n2 + 1))
+    assert other is not s and other.shape == (grid.n1, grid.n2 + 1)
+    w1 = np.pi * np.arange(grid.n1) / grid.n1
+    w2 = np.pi * np.arange(grid.n2 + 1) / (grid.n2 + 1)
+    np.testing.assert_array_equal(other, np.sin(w1)[:, None] ** 2 + np.sin(w2)[None, :] ** 2)
+
+
+@pytest.mark.parametrize("scheme,profiles", [("joint", 2), ("fixed", 1)])
+def test_em_step_builds_one_quartic_profile_per_priced_residual(monkeypatch, scheme, profiles):
+    # the incumbent's residual, and under the joint scheme the GLS
+    # candidate's, each get one profile; the range search reuses the kept one
+    Y, X, grid = small_dataset(seed=7)
+    beta, eta, W = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
+    built = []
+    real = em.quartic_profile
+    monkeypatch.setattr(em, "quartic_profile", lambda *args: built.append(1) or real(*args))
+    em_step(Y, X, grid, FitConfig(scheme=scheme, seed=0), beta, eta, W, {})
+    assert len(built) == profiles
 
 
 def test_probes_are_drawn_from_config_seed_on_every_map(monkeypatch):
