@@ -82,6 +82,19 @@ def test_simulate_rejects_ambiguous_range(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("matern_range", [float("nan"), float("inf"), 0.0, -3.0])
+def test_simulate_rejects_a_range_without_a_lag(tmp_path, capsys, matern_range):
+    # NaN and Infinity used to end in a traceback, and 0 or -3 silently
+    # calibrated an alpha
+    cfg = write_config(tmp_path / "sim.json", {
+        "grid": grid_doc(8, 8), "sigma2": 1.0, "matern_range": matern_range, "beta": [0.1],
+    })
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: matern_range must be finite and round to a lag >= 1, "
+        f"got {matern_range!r}"]
+
+
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------

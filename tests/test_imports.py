@@ -1,7 +1,8 @@
-"""What a fresh interpreter loads.  `import slem`, `import slem.cli` and the
-fit path (fit, estimate_intensity, log_score) need numpy only; scipy is
-imported inside the two functions that need it, Matern range calibration
-and the collinearity diagnostic, so each of these runs in its own process."""
+"""What a fresh interpreter loads.  `import slem`, `import slem.cli`, the
+fit path (fit, estimate_intensity, log_score) and Matern range calibration
+need numpy only; scipy is imported inside the one function that needs it,
+the collinearity diagnostic on its way to an error, so each of these runs
+in its own process."""
 import json
 import os
 import subprocess
@@ -45,6 +46,29 @@ def test_import_and_fit_path_load_no_scipy_submodule():
     """)
     assert out["loaded"] == []
     assert out["score"] < 0
+
+
+def test_matern_calibration_loads_no_scipy_submodule(tmp_path):
+    # K_1 is computed with numpy: calibrating a range, directly or through
+    # `slem simulate` with matern_range, used to import scipy.special
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "grid": {"n1": 16, "n2": 16, "x_min": 0.0, "x_max": 16.0, "y_min": 0.0, "y_max": 16.0},
+        "sigma2": 2.0, "matern_range": 4.0, "beta": [0.1], "seed": 0}))
+    out = run_fresh(f"""
+        import contextlib, io, json, sys
+        import slem
+        from slem.cli import main
+
+        alpha = slem.calibrate_range_to_matern(slem.GridSpec.unit(70, 70), 18.0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["simulate", "--config", {str(config)!r}, "--out", {str(tmp_path)!r}])
+        print(json.dumps({{"alpha": alpha, "code": code,
+                          "loaded": [m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]}}))
+    """)
+    assert out["loaded"] == []
+    assert out["code"] == 0
+    assert out["alpha"] == 29.91305580069937
 
 
 def test_collinearity_error_names_its_columns_in_a_fresh_process():

@@ -325,6 +325,26 @@ def test_matern_correlation_values():
     assert np.all(rho > 0)
 
 
+def test_matern_correlation_matches_scipy_bessel_k1():
+    # K_1 is a trapezoid sum, not scipy.special.kv; every calibration to an
+    # integer range evaluates it at t = 1, where it must be kv to the bit
+    t = np.geomspace(1e-6, 50.0, 2001)
+    rho = matern_correlation(t, 1.0)
+    want = t * special.kv(1.0, t)
+    assert np.max(np.abs(rho - want) / want) <= 1e-13
+    assert matern_correlation(18.0, 18.0) == float(special.kv(1.0, 1.0))
+    assert matern_correlation(np.array([1e-11, 0.0]), 1.0).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("matern_range", [float("nan"), float("inf"), -float("inf"),
+                                          0.0, -3.0, 0.4, 0.5])
+def test_calibration_rejects_a_range_without_a_lag(matern_range):
+    # NaN and inf used to end in a ValueError or OverflowError, and a range
+    # that rounds to lag 0 (0, -3, 0.4) silently returned an alpha
+    with pytest.raises(ConfigError, match="matern_range must be finite"):
+        calibrate_range_to_matern(GRID8, matern_range)
+
+
 def test_correlation_at_lag_matches_dense():
     grid = GRID8
     eta = CovParams(1.7, 5.0)
