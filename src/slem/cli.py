@@ -108,13 +108,15 @@ def _open_config(args, where, allowed, required):
     return doc, _grid_from_doc(doc["grid"])
 
 
-def _fit_config_from_doc(doc, seed_override=None) -> FitConfig:
-    if not isinstance(doc or {}, dict):
-        raise ConfigError("fit must be an object")
-    doc = dict(doc or {})
+def _fit_config_from_doc(doc, where, seed_override=None) -> FitConfig:
+    """The FitConfig of the config's 'fit' object; absent means the defaults."""
+    fit_doc = doc.get("fit", {})
+    if not isinstance(fit_doc, dict):
+        raise ConfigError(f"{where}: fit must be an object, got {fit_doc!r}")
+    fit_doc = dict(fit_doc)
     if seed_override is not None:
-        doc["seed"] = seed_override
-    return FitConfig.from_dict(doc)
+        fit_doc["seed"] = seed_override
+    return FitConfig.from_dict(fit_doc)
 
 
 def _write_json(path, obj) -> None:
@@ -232,9 +234,10 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     doc, grid = _open_config(args, "fit config", ("counts_csv", "covariates_csv", "fit"),
                              ("counts_csv",))
+    config = _fit_config_from_doc(doc, "fit config", seed_override=args.seed)
     Y = _read_counts(doc["counts_csv"], grid)
     X = _read_design(doc, grid)
-    result = fit(Y, X, grid, _fit_config_from_doc(doc.get("fit"), seed_override=args.seed))
+    result = fit(Y, X, grid, config)
 
     theta = {"beta": [float(b) for b in result.theta_star.beta],
              "sigma2": result.theta_star.eta.sigma2,
@@ -294,6 +297,10 @@ def cmd_score(args) -> int:
                   else _number(doc, "split_seed", where, integer=True, least=0, default=0))
     fraction = _number(doc, "train_fraction", where, default=0.9)
     k = _number(doc, "k", where, integer=True, default=5)
+    config = _fit_config_from_doc(doc, where, seed_override=args.seed)
+    plugin = doc.get("plugin_intensity", False)
+    if not isinstance(plugin, bool):
+        raise ConfigError(f"{where}: plugin_intensity must be true or false, got {plugin!r}")
     t0 = time.perf_counter()
     pattern = _read(slemio.read_points_csv, doc["points_csv"])
     train_pts, test_pts = split_train_test(pattern, fraction, seed=split_seed)
@@ -301,11 +308,10 @@ def cmd_score(args) -> int:
     Y_test = bin_points(test_pts, grid)
 
     X = _read_design(doc, grid)
-    config = _fit_config_from_doc(doc.get("fit"), seed_override=args.seed)
     result = fit(Y_train, X, grid, config)
 
     f_star = quasi_matern_spectrum(result.theta_star.eta, grid)
-    if doc.get("plugin_intensity", False):
+    if plugin:
         lam = np.exp(result.W_star)
     else:
         est = estimate_intensity(result.W_star, X, result.theta_star.beta, f_star,
@@ -329,7 +335,7 @@ def cmd_covariates(args) -> int:
     where = "covariates config"
     doc, grid = _open_config(args, where, ("stack", "counts_csv", "extra_rasters"),
                              ("stack", "counts_csv"))
-    extras = doc.get("extra_rasters") or {}
+    extras = doc.get("extra_rasters", {})
     if not isinstance(extras, dict):
         raise ConfigError(f"{where}: extra_rasters must be an object, got {extras!r}")
     # each column is written as <name>.csv next to X.csv; a family column is

@@ -26,6 +26,8 @@ class SimScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "beta_true", np.atleast_1d(np.asarray(self.beta_true, float)))
+        if not np.all(np.isfinite(self.beta_true)):
+            raise ConfigError(f"beta must be finite, got {self.beta_true.tolist()}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
 

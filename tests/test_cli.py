@@ -371,23 +371,26 @@ def test_covariates_pipeline(tmp_path):
     np.testing.assert_allclose(X[:, 1:].mean(axis=0), 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("as_list", [False, True], ids=["raster_of_another_shape", "list"])
-def test_covariates_rejects_bad_extra_rasters(tmp_path, capsys, as_list):
+@pytest.mark.parametrize("kind", ["raster_of_another_shape", "list", "empty_list", "zero",
+                                  "empty_string"])
+def test_covariates_rejects_bad_extra_rasters(tmp_path, capsys, kind):
     # a 4x4 raster has a 2x8 grid's pixel count, and used to be standardized
-    # into X.csv in the wrong pixel order; a list used to end in a traceback
+    # into X.csv in the wrong pixel order; a list used to end in a traceback,
+    # and an empty list, 0 or "" used to mean no extra rasters
     rng = np.random.default_rng(3)
     write_minute_stack(tmp_path / "stack", rng.standard_normal((10, 2, 8)))
     write_raster_csv(tmp_path / "counts.csv", rng.poisson(2.0, size=(2, 8)))
     elev = str(tmp_path / "elev44.csv")
     write_raster_csv(elev, rng.standard_normal((4, 4)))
+    extras = {"raster_of_another_shape": {"elev": elev}, "list": [elev], "empty_list": [],
+              "zero": 0, "empty_string": ""}[kind]
     cfg = write_config(tmp_path / "cov.json", {
         "grid": grid_doc(2, 8), "stack": str(tmp_path / "stack"),
-        "counts_csv": str(tmp_path / "counts.csv"),
-        "extra_rasters": [elev] if as_list else {"elev": elev},
+        "counts_csv": str(tmp_path / "counts.csv"), "extra_rasters": extras,
     })
     assert main(["covariates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    want = (f"covariates config: extra_rasters must be an object, got {[elev]!r}" if as_list
-            else f"{elev}: raster is 4x4, grid is 2x8")
+    want = (f"{elev}: raster is 4x4, grid is 2x8" if kind == "raster_of_another_shape"
+            else f"covariates config: extra_rasters must be an object, got {extras!r}")
     assert capsys.readouterr().err.splitlines() == [f"config error: {want}"]
 
 
@@ -503,6 +506,20 @@ BAD_NUMBERS = [
     ("simulate", {"seed": 1.0}, "simulate config: seed must be an integer >= 0, got 1.0"),
     ("simulate", {"beta": [0.2, "x"]}, "simulate config: beta[1] must be a number"),
     ("simulate", {"beta": 0.2}, "simulate config: beta must be a list of numbers"),
+    ("simulate", {"beta": [float("nan")]}, "beta must be finite, got [nan]"),
+    ("simulate", {"beta": [-float("inf")]}, "beta must be finite, got [-inf]"),
+    ("fit", {"fit": 0}, "fit config: fit must be an object, got 0"),
+    ("fit", {"fit": False}, "fit config: fit must be an object, got False"),
+    ("fit", {"fit": ""}, "fit config: fit must be an object, got ''"),
+    ("fit", {"fit": []}, "fit config: fit must be an object, got []"),
+    ("fit", {"fit": None}, "fit config: fit must be an object, got None"),
+    ("score", {"fit": 0}, "score config: fit must be an object, got 0"),
+    ("score", {"plugin_intensity": "false"},
+     "score config: plugin_intensity must be true or false, got 'false'"),
+    ("score", {"plugin_intensity": "no"},
+     "score config: plugin_intensity must be true or false, got 'no'"),
+    ("score", {"plugin_intensity": 0},
+     "score config: plugin_intensity must be true or false, got 0"),
 ]
 
 
@@ -512,12 +529,15 @@ BAD_NUMBERS = [
 def test_config_numbers_are_typed(tmp_path, capsys, command, change, message):
     # each numeric scalar is read by FitConfig's rules: a string, a bool or a
     # fractional count is one config error line, never a traceback or a
-    # silent truncation
+    # silent truncation; the fit object and the plug-in flag are read by
+    # type, not truthiness
     write_raster_csv(tmp_path / "W.csv", np.zeros((8, 8)))
+    write_raster_csv(tmp_path / "counts.csv", np.zeros((8, 8), dtype=int))
     write_config(tmp_path / "theta.json", {"beta": [], "sigma2": 1.0, "alpha": 2.0})
     write_points_csv(tmp_path / "pts.csv", PointPattern(np.full((3, 2), 0.5)))
     doc = {"grid": grid_doc(8, 8), **{
         "grid": {"points_csv": str(tmp_path / "pts.csv")},
+        "fit": {"counts_csv": str(tmp_path / "counts.csv")},
         "predict": {"theta_json": str(tmp_path / "theta.json"),
                     "w_star_csv": str(tmp_path / "W.csv")},
         "score": {"points_csv": str(tmp_path / "pts.csv")},

@@ -104,3 +104,11 @@ def test_scenario_validation():
         SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0), replicates=0)
     with pytest.raises(ConfigError):
         simulate_dataset(SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0)), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scenario_rejects_non_finite_beta(bad):
+    # NaN used to end in numpy's "lam value too large" and -inf in a
+    # log-intensity of -inf
+    with pytest.raises(ConfigError, match="beta must be finite"):
+        SimScenario(GRID32, CovParams(0.5, 2.0), np.array([0.1, bad]))
