@@ -107,11 +107,12 @@ class SpectralField:
 
 def frequency_sines(grid: GridSpec) -> np.ndarray:
     """s(omega) = sin^2(w1/2) + sin^2(w2/2) on the n1 x n2 frequency grid,
-    read-only, computed once per grid shape and shared by every caller."""
+    read-only, computed once per grid shape and shared by every caller (the
+    last few shapes are kept)."""
     return _sines(grid.n1, grid.n2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _sines(n1: int, n2: int) -> np.ndarray:
     s1 = np.sin(np.pi * np.arange(n1) / n1) ** 2
     s2 = np.sin(np.pi * np.arange(n2) / n2) ** 2
@@ -233,10 +234,13 @@ def _bessel_k1(t: np.ndarray) -> np.ndarray:
     correlation is below 1e-20, the relative error grows (2.5e-7 at t = 500)."""
     step = 0.05
     c = np.cosh(np.arange(0.0, 30.0, step))
+    out = np.empty_like(t)
     with np.errstate(under="ignore"):
-        terms = np.exp(-np.multiply.outer(t, c)) * c
-    terms[..., 0] *= 0.5
-    return np.array([step * math.fsum(row) for row in terms])
+        for i, x in enumerate(t):
+            terms = np.exp(-x * c) * c
+            terms[0] *= 0.5
+            out[i] = step * math.fsum(terms)
+    return out
 
 
 def correlation_at_lag(alpha: float, grid: GridSpec, lag: int) -> float:
