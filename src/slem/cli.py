@@ -90,9 +90,9 @@ def _grid_from_doc(doc, where="grid") -> GridSpec:
 
 
 def _check_path(value, name):
-    """A config path must be a string; anything else is a config error
-    naming it."""
-    if not isinstance(value, str):
+    """A config path must be a non-empty string; anything else is a config
+    error naming it."""
+    if not (isinstance(value, str) and value):
         raise ConfigError(f"{name} must be a path string, got {value!r}")
 
 
@@ -321,7 +321,7 @@ def cmd_score(args) -> int:
     ls = log_score(Y_test, lam, grid.delta(), scale=len(test_pts) / len(train_pts))
 
     rmse_full = rmse_interior = None
-    if doc.get("log_lambda_true_csv"):
+    if "log_lambda_true_csv" in doc:
         truth = flatten(_read_raster(doc["log_lambda_true_csv"], grid))
         rmse_full, rmse_interior = rmse_log_intensity(result.W_star, truth, grid)
     report = ScoreReport(ls, rmse_full, rmse_interior, time.perf_counter() - t0)

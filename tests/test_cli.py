@@ -466,6 +466,7 @@ def test_missing_input_file_exits_one(tmp_path, capsys, command, key):
 NON_STRING_PATHS = [("fit", "counts_csv", 0), ("fit", "covariates_csv", None),
                     ("predict", "theta_json", 0), ("predict", "w_star_csv", 1.5),
                     ("score", "points_csv", ["p.csv"]), ("score", "log_lambda_true_csv", True),
+                    ("score", "log_lambda_true_csv", ""),
                     ("grid", "points_csv", {"path": "p.csv"}), ("covariates", "stack", 0),
                     ("covariates", "extra_rasters.elev", 0)]
 
@@ -473,7 +474,8 @@ NON_STRING_PATHS = [("fit", "counts_csv", 0), ("fit", "covariates_csv", None),
 @pytest.mark.parametrize("command,key,value", NON_STRING_PATHS)
 def test_config_paths_must_be_strings(tmp_path, capsys, command, key, value):
     # open() takes a JSON integer as a file descriptor: "counts_csv": 0 used
-    # to make `slem fit` read its counts from standard input and exit 0
+    # to make `slem fit` read its counts from standard input and exit 0; an
+    # empty log_lambda_true_csv used to skip the RMSE and exit 0
     path = str(tmp_path / "exists.csv")
     doc = {"grid": grid_doc(8, 8), **{
         "fit": {"counts_csv": path},
