@@ -466,9 +466,8 @@ def test_missing_input_file_exits_one(tmp_path, capsys, command, key):
 NON_STRING_PATHS = [("fit", "counts_csv", 0), ("fit", "covariates_csv", None),
                     ("predict", "theta_json", 0), ("predict", "w_star_csv", 1.5),
                     ("score", "points_csv", ["p.csv"]), ("score", "log_lambda_true_csv", True),
-                    ("score", "log_lambda_true_csv", ""),
                     ("grid", "points_csv", {"path": "p.csv"}), ("covariates", "stack", 0),
-                    ("covariates", "extra_rasters.elev", 0)]
+                    ("covariates", "extra_rasters.elev", 0), ("score", "log_lambda_true_csv", "")]
 
 
 @pytest.mark.parametrize("command,key,value", NON_STRING_PATHS)
