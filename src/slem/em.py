@@ -22,15 +22,16 @@ is a quartic in alpha whose three coefficients are moments of P.
 quartic_profile takes those moments once per residual and returns the price
 of any (alpha, sigma2); the incumbent, the GLS candidate and every range
 candidate update_eta searches are priced from it without an FFT or a
-spectrum: a candidate costs one O(n) log sum the first time its alpha is
-priced in a fit and O(1) after that.  The map builds one SpectralField, the
-E-step's.  q_tilde prices Q at any spectrum; it is the reference the tests
-check the closed form against, not part of the fit.
+spectrum: a candidate costs one O(n) log sum (spectral.shape_log_det,
+memoized by grid shape and alpha) the first time its alpha is priced and
+O(1) after that.  The map builds one SpectralField, the E-step's.  q_tilde
+prices Q at any spectrum; it is the reference the tests check the closed
+form against, not part of the fit.
 
-Work that depends only on the grid and the fit's fixed inputs is done once
-per fit (FitInvariants): the forward transforms of the design columns, which
-leave the GLS step one inverse transform per column, the transforms of the
-probes' v's, and the log sums of the range candidates.
+fit transforms what no map changes once and hands it to every em_step: the
+design columns (design_dfts), which leave the GLS step one inverse transform
+per column, and the probes' v's (row_dfts), which leave each map the
+transforms of its u's.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
@@ -52,10 +53,10 @@ from .grid import CountGrid, GridSpec, unflatten
 from .covariates import _poisson_irls
 from .laplace import clamped_exp, newton_mode
 from .spectral import (CovParams, SpectralField, amplitude_for_variance, frequency_sines,
-                       half_dft, half_idft, log_det, quasi_matern_spectrum)
+                       half_dft, half_idft, log_det, quasi_matern_spectrum, shape_log_det)
 # unused here; kept for perfbench/tracing.py, which patches em.sigma_inv_matvec
 from .spectral import sigma_inv_matvec  # noqa: F401
-from .trace import ProbePairs, make_probes
+from .trace import ProbePairs, make_probes, rademacher
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
 # Pixel variance of the start when the counts show no excess dispersion over
@@ -166,33 +167,6 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass
-class FitInvariants:
-    """What every EM map of one fit shares and none changes.
-
-    column_dfts holds design_dfts(X) for update_beta; log_det_g memoizes
-    quartic_profile's sum log g_alpha per exact alpha; probe_dfts holds the
-    probes' v's and their transforms, taken on the first map that sees those
-    v's.  fit builds one and drops it when it returns, so no fit sees
-    another's.
-    """
-
-    column_dfts: list
-    log_det_g: dict = field(default_factory=dict)
-    probe_dfts: tuple | None = None  # (v, row_dfts(v, grid))
-
-    @classmethod
-    def of(cls, X, grid: GridSpec) -> "FitInvariants":
-        """The invariants of a fit of the design X on grid, memos empty."""
-        return cls(design_dfts(X, (grid.n1, grid.n2)))
-
-    def v_dfts(self, probes: ProbePairs, grid: GridSpec) -> np.ndarray:
-        """row_dfts(probes.v, grid), transformed only when the v's change."""
-        if self.probe_dfts is None or not np.array_equal(self.probe_dfts[0], probes.v):
-            self.probe_dfts = (probes.v, row_dfts(probes.v, grid))
-        return self.probe_dfts[1]
-
-
 def design_dfts(X, shape) -> list:
     """half_dft of each column of the design X on a grid of this shape."""
     return [half_dft(X[:, j], shape) for j in range(X.shape[1])]
@@ -281,7 +255,7 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
-def quartic_profile(P, grid: GridSpec, log_det_g=None):
+def quartic_profile(P, grid: GridSpec):
     """(alpha, sigma2=None) -> (Q at (sigma2, alpha), sigma2), with sigma2,
     if not given, the one that maximizes Q at alpha.
 
@@ -291,22 +265,18 @@ def quartic_profile(P, grid: GridSpec, log_det_g=None):
     with s from frequency_sines, so sum P / g_alpha = A + 2 alpha^2 B
     + alpha^4 C for the moments A = sum P, B = sum P s and C = sum P s^2,
     taken once; only sum log g_alpha = -2 sum log1p(alpha^2 s) stays O(n),
-    and it depends on alpha and the grid alone: the dict log_det_g, if
-    given, memoizes it per exact alpha across calls on the same grid.
+    and it depends on alpha and the grid alone: spectral.shape_log_det
+    memoizes it across calls.
     """
     s = frequency_sines(grid)
     Ps = P * s
     A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
-    memo = {} if log_det_g is None else log_det_g
 
     def price(alpha, sigma2=None):
         a2 = alpha * alpha
         S = (A + 2.0 * a2 * B + a2 * a2 * C) / grid.n
-        log_det_g = memo.get(alpha)
-        if log_det_g is None:
-            log_det_g = memo[alpha] = -2.0 * float(np.sum(np.log1p(a2 * s)))
         s2 = max(S / grid.n, SIGMA2_FLOOR) if sigma2 is None else sigma2
-        return -0.5 * (grid.n * np.log(s2) + log_det_g + S / s2), s2
+        return -0.5 * (grid.n * np.log(s2) + shape_log_det(alpha, grid) + S / s2), s2
 
     return price
 
@@ -366,7 +336,7 @@ def _alpha_bounds(config: FitConfig, grid: GridSpec):
 
 
 def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovParams, W,
-            diagnostics: dict, U=None, invariants: FitInvariants | None = None):
+            diagnostics: dict, U=None, column_dfts=None, v_dfts=None):
     """One EM map (beta, eta, W, U) -> (beta', eta', W', U', Q_inc, Q_new).
 
     E-step: the Laplace mode from W and the M probe pairs, whose v's come from
@@ -374,11 +344,10 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
     input.  Their solves U' start from the (M, n) array U, the previous map's
     solves, or from zero if U is None.  M-step: the GLS beta (joint scheme
     only) and the range search, each kept only when it does not lower Q, so
-    Q_new >= Q_inc.  invariants, the fit's FitInvariants for these X and
-    grid, saves recomputing them; the map's output does not depend on it.
+    Q_new >= Q_inc.  column_dfts, design_dfts(X, (n1, n2)), and v_dfts,
+    row_dfts of the probes' v's, save transforming what no map changes (fit
+    takes each once); the map's output does not depend on them.
     """
-    if invariants is None:
-        invariants = FitInvariants.of(X, grid)
     f = quasi_matern_spectrum(eta, grid)
     Xbeta = X @ beta
     lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
@@ -392,15 +361,13 @@ def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovPa
                                            + probes.pcg_iterations)
     if not probes.solve_converged.all():
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
-    probe_part = probe_spectrum(probes, grid, invariants.v_dfts(probes, grid))
+    probe_part = probe_spectrum(probes, grid, v_dfts)
 
-    memo = invariants.log_det_g
-    price = quartic_profile(power_spectrum(W - Xbeta, grid, probe_part), grid, memo)
+    price = quartic_profile(power_spectrum(W - Xbeta, grid, probe_part), grid)
     q_inc = q_mid = price(eta.alpha, eta.sigma2)[0]
     if X.shape[1] > 0 and config.scheme == "joint":
-        beta_cand = update_beta(W, X, f, invariants.column_dfts)
-        price_cand = quartic_profile(power_spectrum(W - X @ beta_cand, grid, probe_part),
-                                     grid, memo)
+        beta_cand = update_beta(W, X, f, column_dfts)
+        price_cand = quartic_profile(power_spectrum(W - X @ beta_cand, grid, probe_part), grid)
         q_cand = price_cand(eta.alpha, eta.sigma2)[0]
         if q_cand >= q_inc:
             beta, price, q_mid = beta_cand, price_cand, q_cand
@@ -515,7 +482,8 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     diagnostics = {"stage1_iterations": 0}
     t0 = time.perf_counter()
     bounds = _alpha_bounds(config, grid)
-    invariants = FitInvariants.of(X, grid)
+    column_dfts = design_dfts(X, (grid.n1, grid.n2))
+    v_dfts = row_dfts(rademacher(config.M, grid.n, config.seed), grid)
     beta, eta, W = glm_start(Y, X, grid, bounds)
 
     rows = []
@@ -523,7 +491,7 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     def em_map(x, state):
         W, U = state
         beta, eta, W, U, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W,
-                                                diagnostics, U, invariants)
+                                                diagnostics, U, column_dfts, v_dfts)
         rows.append((q_inc, q_new))
         return _pack(beta, eta), (W, U)
 

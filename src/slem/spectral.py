@@ -121,6 +121,21 @@ def _sines(n1: int, n2: int) -> np.ndarray:
     return s
 
 
+def shape_log_det(alpha: float, grid: GridSpec) -> float:
+    """sum_omega log g_alpha(omega) = -2 sum log1p(alpha^2 s(omega)), the log
+    determinant of the unit-variance shape quasi_matern_shape, s from
+    frequency_sines.  It depends on alpha and the grid shape alone, so it is
+    computed once per (n1, n2, alpha) and shared by every caller (the last
+    512 are kept: more than the distinct ranges one benchmark fit prices)."""
+    return _shape_log_det(grid.n1, grid.n2, alpha)
+
+
+@lru_cache(maxsize=512)
+def _shape_log_det(n1: int, n2: int, alpha: float) -> float:
+    a2 = alpha * alpha
+    return -2.0 * float(np.sum(np.log1p(a2 * _sines(n1, n2))))
+
+
 def quasi_matern_shape(alpha: float, grid: GridSpec) -> np.ndarray:
     """Unit-variance spectrum shape (1 + alpha^2 s(omega))^-2, s from
     frequency_sines."""

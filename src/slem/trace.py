@@ -47,11 +47,18 @@ class ProbePairs:
         return self.v.shape[0]
 
 
+def rademacher(M: int, n: int, seed: int) -> np.ndarray:
+    """The (M, n) Rademacher probes v drawn from seed: the same v's for the
+    same (M, n, seed), on every EM map of a fit."""
+    rng = np.random.default_rng(seed)
+    return 2.0 * rng.integers(0, 2, size=(M, n)).astype(float) - 1.0
+
+
 def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
                 eps_pcg: float = 1e-3, u0=None) -> ProbePairs:
-    """Draw M Rademacher probes and solve (Sigma_t^{-1} + C) u = v for each,
-    PCG starting from row i of the (M, n) array u0, or from zero if u0 is
-    None.
+    """Draw M Rademacher probes (rademacher) and solve (Sigma_t^{-1} + C) u
+    = v for each, PCG starting from row i of the (M, n) array u0, or from
+    zero if u0 is None.
 
     A warm solve's starting residual v - A u0 measures how far the operator
     has moved since u0 was solved, so it stops at a residual change of
@@ -64,8 +71,7 @@ def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
         raise ConfigError(f"probe length {n} does not match spectrum size {f_t.n}")
     if u0 is not None and np.shape(u0) != (M, n):
         raise ConfigError(f"probe start must be ({M}, {n}), got {np.shape(u0)}")
-    rng = np.random.default_rng(seed)
-    v = 2.0 * rng.integers(0, 2, size=(M, n)).astype(float) - 1.0
+    v = rademacher(M, n, seed)
     op = precision_operator(f_t, np.asarray(c_diag, dtype=float))
     u = np.empty_like(v)
     ok = np.empty(M, dtype=bool)

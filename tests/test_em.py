@@ -244,25 +244,37 @@ def test_quartic_profile_matches_profiled_q(n1, n2):
 
 
 def test_quartic_profile_memo_prices_exactly_as_a_fresh_profile(monkeypatch):
-    # the memoized log sum depends on alpha and the grid only, so prices
-    # read from a memo filled under another P are the fresh prices, bit for bit
+    # the memoized log sum depends on alpha and the grid shape only, so prices
+    # read from a cache filled under another P are a cleared cache's, bit for bit
     grid = GridSpec.unit(9, 7)
     f_t = quasi_matern_spectrum(CovParams(1.5, 3.0), grid)
     rng = np.random.default_rng(16)
     probes = make_probes(1, grid.n, 16, f_t, 0.2 + rng.random(grid.n), eps_pcg=1e-10)
     P1, P2 = (spectrum(sample_gp(f_t, seed), probes, grid) for seed in (16, 17))
     alphas = np.geomspace(1e-2, 2.0 * grid.n1, 200)
-    memo = {}
-    first = quartic_profile(P1, grid, memo)
-    assert [first(a) for a in alphas] == [quartic_profile(P1, grid)(a) for a in alphas]
-    assert len(memo) == 200
+
+    def prices(P, grid):
+        price = quartic_profile(P, grid)
+        return [price(a) for a in alphas]
+
+    spectral._shape_log_det.cache_clear()
+    fresh1 = prices(P1, grid)
+    assert spectral._shape_log_det.cache_info().currsize == 200
+    spectral._shape_log_det.cache_clear()
+    fresh2 = prices(P2, grid)
     log1p = np.log1p
     calls = []
     monkeypatch.setattr(np, "log1p", lambda *a, **k: calls.append(1) or log1p(*a, **k))
-    second = quartic_profile(P2, grid, memo)
-    memoized = [second(a) for a in alphas]
+    assert prices(P1, grid) == fresh1
+    assert prices(P2, GridSpec(9, 7, -1.0, 3.0, 0.0, 5.0)) == fresh2
     assert calls == []
-    assert memoized == [quartic_profile(P2, grid)(a) for a in alphas]
+
+
+def test_shape_log_det_is_the_log_determinant_of_the_unit_shape():
+    grid = GridSpec.unit(9, 7)
+    for alpha in (0.0, 1e-2, 2.3, 29.9):
+        want = float(np.sum(np.log(spectral.quasi_matern_shape(alpha, grid))))
+        np.testing.assert_allclose(spectral.shape_log_det(alpha, grid), want, rtol=1e-12)
 
 
 def test_update_eta_dominates_2d_grid_search():
@@ -436,6 +448,27 @@ def test_em_step_builds_one_field_and_prices_q_as_q_tilde(monkeypatch):
         P = spectrum(W_new - X @ b, seen["probes"], grid)
         want = q_tilde(P, quasi_matern_spectrum(e, grid), grid)
         np.testing.assert_allclose(q, want, rtol=1e-12)
+
+
+def test_em_step_is_the_same_map_with_and_without_the_fit_transforms():
+    # column_dfts and v_dfts only spare transforms; a cold and a warm map
+    # give the same six outputs, bit for bit, and the same diagnostics
+    Y, X, grid = small_dataset(seed=7)
+    config = FitConfig(M=2, seed=3)
+    beta, eta, W = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
+    column_dfts = em.design_dfts(X, (grid.n1, grid.n2))
+    v_dfts = em.row_dfts(trace.rademacher(config.M, grid.n, config.seed), grid)
+    U = None
+    for _ in range(2):
+        plain_diag, given_diag = {}, {}
+        plain = em_step(Y, X, grid, config, beta, eta, W, plain_diag, U)
+        given = em_step(Y, X, grid, config, beta, eta, W, given_diag, U,
+                        column_dfts=column_dfts, v_dfts=v_dfts)
+        (b0, e0, W0, U0, *q0), (b1, e1, W1, U1, *q1) = plain, given
+        assert e0 == e1 and q0 == q1 and plain_diag == given_diag
+        for a, b in ((b0, b1), (W0, W1), (U0, U1)):
+            np.testing.assert_array_equal(a, b)
+        beta, eta, W, U = b0, e0, W0, U0
 
 
 def test_probe_vs_are_transformed_once_per_fit_and_us_once_per_map(monkeypatch):

@@ -31,6 +31,7 @@ def test_probes_are_rademacher_and_deterministic():
     assert np.all(np.isin(p1.v, [-1.0, 1.0]))
     np.testing.assert_array_equal(p1.v, p2.v)
     np.testing.assert_array_equal(p1.u, p2.u)
+    np.testing.assert_array_equal(p1.v, trace.rademacher(8, 64, 3))
     p3 = make_probes(8, 64, seed=4, f_t=f_t, c_diag=c)
     assert not np.array_equal(p1.v, p3.v)
 
