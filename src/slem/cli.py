@@ -267,6 +267,8 @@ def cmd_predict(args) -> int:
     _check_keys(theta, ("beta", "sigma2", "alpha", "converged", "em_iterations"),
                 ("sigma2", "alpha"), doc["theta_json"])
     beta = _numbers(theta, "beta", doc["theta_json"], default=[])
+    if not np.all(np.isfinite(beta)):
+        raise ConfigError(f"{doc['theta_json']}: beta must be finite, got {beta.tolist()}")
     eta = CovParams(_number(theta, "sigma2", doc["theta_json"]),
                     _number(theta, "alpha", doc["theta_json"]))
     k = _number(doc, "k", "predict config", integer=True, default=5)
@@ -301,6 +303,14 @@ def cmd_score(args) -> int:
     plugin = doc.get("plugin_intensity", False)
     if not isinstance(plugin, bool):
         raise ConfigError(f"{where}: plugin_intensity must be true or false, got {plugin!r}")
+    truth = None
+    if "log_lambda_true_csv" in doc:
+        path = doc["log_lambda_true_csv"]
+        truth = _read_raster(path, grid)
+        if not np.all(np.isfinite(truth)):
+            i, j = np.argwhere(~np.isfinite(truth))[0]
+            raise ConfigError(f"{path}: true log intensity is missing or not finite "
+                              f"at row {i}, column {j}")
     t0 = time.perf_counter()
     pattern = _read(slemio.read_points_csv, doc["points_csv"])
     train_pts, test_pts = split_train_test(pattern, fraction, seed=split_seed)
@@ -321,9 +331,8 @@ def cmd_score(args) -> int:
     ls = log_score(Y_test, lam, grid.delta(), scale=len(test_pts) / len(train_pts))
 
     rmse_full = rmse_interior = None
-    if "log_lambda_true_csv" in doc:
-        truth = flatten(_read_raster(doc["log_lambda_true_csv"], grid))
-        rmse_full, rmse_interior = rmse_log_intensity(result.W_star, truth, grid)
+    if truth is not None:
+        rmse_full, rmse_interior = rmse_log_intensity(result.W_star, flatten(truth), grid)
     report = ScoreReport(ls, rmse_full, rmse_interior, time.perf_counter() - t0)
     _write_json(os.path.join(args.out, "score.json"), report.to_dict())
     print(f"log score {ls:.4f} on {Y_test.total()} held-out points -> {args.out}")
@@ -400,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("simulate", "fit", "score"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "predict":
             p.add_argument("--sqrt-display", action="store_true",
                            help="also export square-root transformed intensity")

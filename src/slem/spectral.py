@@ -227,7 +227,10 @@ def matern_correlation(h, range_):
 
     nu = 1 is the smoothness the quasi-Matern spectrum (1 + alpha^2 s)^-2
     approximates on a 2-D lattice, the only Matern a range is calibrated to.
-    t K_1(t) = 1 + O(t^2 log t) rounds to 1 below t = 1e-10."""
+    t K_1(t) = 1 + O(t^2 log t) rounds to 1 below t = 1e-10.  Raises
+    ConfigError unless range_ is finite and positive."""
+    if not (np.isfinite(range_) and range_ > 0):
+        raise ConfigError(f"Matern range must be finite and positive, got {range_!r}")
     h = np.asarray(h, dtype=float)
     t = h / range_
     out = np.ones_like(t)

@@ -271,6 +271,21 @@ def test_predict_rejects_bad_fit_files(tmp_path, capsys, theta, w_shape, message
     assert message in capsys.readouterr().err
 
 
+def test_predict_rejects_a_non_finite_beta_before_reading_w_star(tmp_path, capsys):
+    # a NaN beta used to exit 0 with an intensity.csv of empty fields
+    theta = tmp_path / "theta.json"
+    theta.write_text('{"beta": [NaN, 0.4], "sigma2": 1.0, "alpha": 2.0}')
+    cfg = write_config(tmp_path / "pred.json", {
+        "grid": grid_doc(8, 8), "theta_json": str(theta),
+        "w_star_csv": str(tmp_path / "no_such_W.csv"),
+    })
+    out = tmp_path / "o"
+    assert main(["predict", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {theta}: beta must be finite, got [nan, 0.4]"]
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
@@ -289,6 +304,26 @@ def test_score_pipeline(tmp_path):
     assert np.isfinite(report["log_score"])
     assert report["rmse_full"] > 0 and report["rmse_interior"] > 0
     assert report["runtime_seconds"] > 0
+
+
+def test_score_rejects_a_truth_raster_with_a_missing_pixel(tmp_path, capsys, monkeypatch):
+    # an empty field used to reach score.json as "rmse_full": NaN, which is
+    # not JSON; it is a config error before the fit runs
+    sim = simulate_dir(tmp_path)
+    truth = read_raster_csv(sim / "log_lambda_true.csv")
+    truth[2, 5] = np.nan
+    write_raster_csv(tmp_path / "truth.csv", truth)
+    cfg = write_config(tmp_path / "score.json", {
+        "grid": grid_doc(8, 8), "points_csv": str(sim / "points_000.csv"),
+        "fit": {"max_em": 2, "seed": 0}, "log_lambda_true_csv": str(tmp_path / "truth.csv"),
+    })
+    monkeypatch.setattr("slem.cli.fit", lambda *args: pytest.fail("fit ran"))
+    out = tmp_path / "score_out"
+    assert main(["score", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {tmp_path / 'truth.csv'}: true log intensity is missing or not "
+        f"finite at row 2, column 5"]
+    assert list(out.iterdir()) == []
 
 
 def test_score_plugin_intensity(tmp_path):
@@ -426,7 +461,9 @@ def test_unknown_subcommand_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--jobs", "2"], ["simulate", "--sqrt-display"]])
+@pytest.mark.parametrize("argv", [["simulate", "--jobs", "2"], ["simulate", "--sqrt-display"],
+                                  ["grid", "--seed", "7"], ["predict", "--seed", "7"],
+                                  ["covariates", "--seed", "7"]])
 def test_options_only_on_their_subcommand(tmp_path, capsys, argv):
     cfg = write_config(tmp_path / "c.json", {"grid": grid_doc(4, 4)})
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 1

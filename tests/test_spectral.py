@@ -336,6 +336,13 @@ def test_matern_correlation_matches_scipy_bessel_k1():
     assert matern_correlation(np.array([1e-11, 0.0]), 1.0).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("range_", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_matern_correlation_rejects_a_range_that_is_not_finite_and_positive(range_):
+    # -1 and NaN used to return a correlation of 1, and 0 a NaN with warnings
+    with pytest.raises(ConfigError, match="Matern range must be finite and positive"):
+        matern_correlation(np.array([0.0, 1.0]), range_)
+
+
 @pytest.mark.parametrize("matern_range", [float("nan"), float("inf"), -float("inf"),
                                           0.0, -3.0, 0.4, 0.5])
 def test_calibration_rejects_a_range_without_a_lag(matern_range):
