@@ -3,21 +3,26 @@
 The fitted posterior precision is Psi = Sigma^{-1} + diag(Delta exp(W*)).
 Full inversion is never done; the per-pixel variance comes from inverting the
 k x k wrap-around neighborhood of Psi around each pixel, which is exact when
-k covers the whole grid and cheap when it does not.
+k covers the whole grid and cheap when it does not.  The quasi-Matern
+Sigma^{-1} is a 13-point stencil (its GMRF form), so each neighborhood block
+is sparse: the pixel's variance is 1 / its Schur complement after the other
+window pixels are eliminated along the stencil and its fill, in one
+minimum-degree order shared by every pixel.  A spectrum whose Sigma^{-1} is
+not such a stencil is rejected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .em import design_matrix
 from .errors import ConfigError, NumericalError
-from .grid import GridSpec
 from .laplace import clamped_exp
 from .spectral import SpectralField
 
-BATCH = 2048  # pixels per stacked factorization batch
+CHUNK = 1024  # pixels eliminated together; one (entries, CHUNK) array each
 
 
 @dataclass(frozen=True)
@@ -35,30 +40,84 @@ def recover_z(W_star, X, beta_star) -> np.ndarray:
     return W_star - design_matrix(X, W_star.size, beta_star.size) @ beta_star
 
 
-def _neighbor_indices(grid: GridSpec, k: int):
-    """(n, k^2) wrap-around neighbor pixel indices and their offsets, with
-    the center pixel (offset (0, 0)) last."""
+@dataclass(frozen=True)
+class _Schedule:
+    """Symbolic elimination of the k x k window under a 13-point stencil.
+
+    Window pixels are numbered in elimination order, center last.  Entries
+    0..k^2-1 are the diagonal (a, a); the rest are the off-diagonal (a, b),
+    a < b, that are in the stencil or filled in by eliminating.  Entry e
+    starts at inv_row[lags[e]] if stencil[e], else at 0.  Pivot p reads its
+    column cols[p], the entries (p, b) of its later neighbours b, and for each
+    pair (i, j) of them with i <= j applies E[t] -= E[col_i] E[col_j] / E[p]
+    to entry t of pairs[p] = (i's, j's, t's).
+    """
+
+    o1: np.ndarray        # window offset of each pixel, elimination order
+    o2: np.ndarray
+    lags: np.ndarray      # flat inv_row lag of each entry
+    stencil: np.ndarray   # entry is structurally nonzero in Sigma^{-1}
+    off_lags: np.ndarray  # window lags outside the stencil, which must be ~0
+    cols: tuple
+    pairs: tuple
+
+
+@lru_cache(maxsize=8)
+def _schedule(n1: int, n2: int, k: int) -> _Schedule:
+    """local_variance's symbolic step; its arrays are shared, so read-only."""
     half = k // 2
-    offs = np.arange(-half, half + 1)
-    o1, o2 = np.meshgrid(offs, offs, indexing="ij")
-    center = k * k // 2
-    o1 = np.append(np.delete(o1.ravel(), center), 0)
-    o2 = np.append(np.delete(o2.ravel(), center), 0)
-    idx = np.arange(grid.n)
-    i1, i2 = idx % grid.n1, idx // grid.n1
-    n1_idx = (i1[:, None] + o1[None, :]) % grid.n1
-    n2_idx = (i2[:, None] + o2[None, :]) % grid.n2
-    return n1_idx + grid.n1 * n2_idx, o1, o2
+    o1, o2 = (a.ravel() for a in np.meshgrid(np.arange(-half, half + 1),
+                                             np.arange(-half, half + 1), indexing="ij"))
+    d1 = (o1[:, None] - o1[None, :]) % n1
+    d2 = (o2[:, None] - o2[None, :]) % n2
+    lag = d1 + n1 * d2
+    # a torus lag of L1 length <= 2 is one of the stencil's 13 points
+    adj = np.minimum(d1, n1 - d1) + np.minimum(d2, n2 - d2) <= 2
+
+    # minimum degree, ties by index, center last; eliminating j joins its
+    # remaining neighbours to each other (the fill)
+    k2 = k * k
+    center = k2 // 2
+    nbrs = [set(np.flatnonzero(adj[i])) - {i} for i in range(k2)]
+    order, left = [], set(range(k2)) - {center}
+    while left:
+        j = min(left, key=lambda i: (len(nbrs[i]), i))
+        for a in nbrs[j]:
+            nbrs[a] |= nbrs[j] - {a}
+            nbrs[a].discard(j)
+        order.append(j)
+        left.remove(j)
+    order.append(center)
+    pos = {v: p for p, v in enumerate(order)}
+    later = [sorted(pos[a] for a in nbrs[v]) for v in order]
+
+    entry = {(p, p): p for p in range(k2)}
+    for p, nb in enumerate(later):
+        for b in nb:
+            entry[p, b] = len(entry)
+    cols, pairs = [], []
+    for p, nb in enumerate(later):
+        i, j = np.triu_indices(len(nb))
+        cols.append(np.array([entry[p, b] for b in nb], dtype=np.intp))
+        pairs.append((i, j, np.array([entry[nb[a], nb[b]] for a, b in zip(i, j)],
+                                     dtype=np.intp)))
+    va, vb = np.array(order)[np.array(list(entry)).T]
+    arrays = (o1[order], o2[order], lag[va, vb], adj[va, vb], np.unique(lag[~adj]))
+    for arr in (*arrays, *cols, *(x for pair in pairs for x in pair)):
+        arr.flags.writeable = False
+    return _Schedule(*arrays, tuple(cols), tuple(pairs))
 
 
 def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     """Approximate diag(Psi^{-1}) from k x k neighborhood submatrix inversions.
 
-    psi_diag is the data curvature Delta exp(W*).  The Sigma^{-1} block is the
-    same for every pixel (translation invariance), so only the diagonal
-    changes across the grid.  With the center pixel ordered last, its entry
-    of the block inverse is 1 / L[-1, -1]^2 for the Cholesky factor L, so each
-    pixel costs one small Cholesky factorization.
+    psi_diag is the data curvature Delta exp(W*).  Each pixel's variance is
+    the center entry of the inverse of Psi's block on its wrap-around k x k
+    window, 1 / (the center's Schur complement).  The quasi-Matern Sigma^{-1}
+    is a 13-point stencil, so the block is sparse: the non-center pixels are
+    eliminated in a minimum-degree order computed once per (n1, n2, k), and
+    only the stencil and its fill are updated, for a chunk of pixels at once.
+    A spectrum whose Sigma^{-1} has weight outside the stencil is rejected.
     """
     n1, n2 = f_star.shape
     grid_n = n1 * n2
@@ -70,26 +129,33 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     if k % 2 == 0 or k < 1 or k > min(n1, n2):
         raise ConfigError(f"k must be odd and within 1..min(n1, n2) = {min(n1, n2)}, got {k}")
 
-    grid = GridSpec.unit(n1, n2)
-    inv_lags = f_star.inv_row.reshape((n1, n2), order="F")
-    nbr, o1, o2 = _neighbor_indices(grid, k)
-    # Sigma^{-1} restricted to the neighborhood: depends only on offset lags
-    prior_block = inv_lags[(o1[:, None] - o1[None, :]) % n1, (o2[:, None] - o2[None, :]) % n2]
+    s = _schedule(n1, n2, k)
+    inv_row = f_star.inv_row
+    if s.off_lags.size and np.max(np.abs(inv_row[s.off_lags])) > 1e-12 * inv_row[0]:
+        raise ConfigError("local_variance needs a quasi-Matern (13-point stencil) "
+                          "precision; Sigma^{-1} has weight outside the stencil")
+    prior = np.where(s.stencil, inv_row[s.lags], 0.0)[:, None]
 
-    k2 = k * k
-    rows = np.arange(k2)
     out = np.empty(grid_n)
-    for start in range(0, grid_n, BATCH):
-        sl = slice(start, min(start + BATCH, grid_n))
-        blocks = np.broadcast_to(prior_block, (sl.stop - sl.start, k2, k2)).copy()
-        blocks[:, rows, rows] += psi_diag[nbr[sl]]
-        try:
-            # index the factor at once so it does not outlive its batch
-            out[sl] = 1.0 / np.linalg.cholesky(blocks)[:, -1, -1] ** 2
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"local precision block not positive definite: {exc}") from exc
-    if np.any(out <= 0):
-        raise NumericalError("non-positive local variance; posterior precision corrupted")
+    for start in range(0, grid_n, CHUNK):
+        pix = np.arange(start, min(start + CHUNK, grid_n))
+        nbr = ((pix % n1 + s.o1[:, None]) % n1
+               + n1 * ((pix // n1 + s.o2[:, None]) % n2))
+        E = np.repeat(prior, pix.size, axis=1)
+        E[:k * k] += psi_diag[nbr]
+        # a bad pivot is caught below, where it stays on the diagonal
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p, (col, (i, j, target)) in enumerate(zip(s.cols, s.pairs)):
+                c = E[col]
+                update = c[i]
+                update *= (c / E[p])[j]
+                E[target] -= update
+        # no later pivot updates an earlier one, so the diagonal now holds
+        # every pivot and, last, the center's Schur complement
+        piv = E[:k * k]
+        if not np.all(np.isfinite(piv) & (piv > 0)):
+            raise NumericalError("local precision block not positive definite")
+        out[pix] = 1.0 / piv[-1]
     return out
 
 
