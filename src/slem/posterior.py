@@ -171,9 +171,15 @@ def intensity_mean(z_mode, local_var, X, beta_star) -> np.ndarray:
 
 def estimate_intensity(W_star, X, beta_star, f_star: SpectralField, delta,
                        k: int = 5) -> IntensityEstimate:
-    """Bundle of the posterior summaries used by prediction and scoring."""
-    z = recover_z(W_star, X, beta_star)
-    psi_diag = np.asarray(delta, float) * clamped_exp(np.asarray(W_star, float))
+    """Bundle of the posterior summaries used by prediction and scoring.
+
+    z_mode and intensity equal recover_z's and intensity_mean's bit for bit;
+    X beta* and the lognormal correction are each computed once here."""
+    W_star = np.asarray(W_star, dtype=float)
+    beta_star = np.asarray(beta_star, dtype=float)
+    xb = design_matrix(X, W_star.size, beta_star.size) @ beta_star
+    z = W_star - xb
+    psi_diag = np.asarray(delta, float) * clamped_exp(W_star)
     lv = local_variance(f_star, psi_diag, k)
     latent = clamped_exp(z + 0.5 * lv)
-    return IntensityEstimate(z, lv, latent, intensity_mean(z, lv, X, beta_star))
+    return IntensityEstimate(z, lv, latent, clamped_exp(xb) * latent)

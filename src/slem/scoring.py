@@ -63,11 +63,15 @@ def interior_mask(grid: GridSpec, margin: int = 2) -> np.ndarray:
 
 def rmse_log_intensity(est, truth, grid: GridSpec, margin: int = 2):
     """(full, interior) RMSE between log-intensity vectors; the interior drops
-    `margin` pixels on every edge, where boundary effects concentrate."""
+    `margin` pixels on every edge, where boundary effects concentrate.  Both
+    vectors must be finite."""
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.size != grid.n or truth.size != grid.n:
         raise ConfigError("rmse inputs must match the grid size")
+    for name, v in (("est", est), ("truth", truth)):
+        if not np.all(np.isfinite(v)):
+            raise ConfigError(f"rmse input {name} has a non-finite entry")
     err2 = (est - truth) ** 2
     mask = interior_mask(grid, margin)
     return float(np.sqrt(err2.mean())), float(np.sqrt(err2[mask].mean()))

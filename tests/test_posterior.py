@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from oracles import dense_local_variance, dense_posterior_precision
-from slem import (ConfigError, CovParams, GridSpec, NumericalError,
+from slem import (ConfigError, CovParams, GridSpec, NumericalError, SpectralField,
                   estimate_intensity, intensity_mean, local_variance,
                   quasi_matern_spectrum, recover_z)
+from slem import posterior
 
 
 def posterior_instance(n1, n2, eta=CovParams(1.5, 3.0), seed=0):
@@ -92,6 +95,62 @@ def test_local_variance_matches_dense_block_inverse(k):
     grid, f, psi = posterior_instance(9, 7, seed=5)
     np.testing.assert_allclose(local_variance(f, psi, k=k), dense_local_variance(f, psi, k),
                                rtol=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_local_variance_matches_dense_block_inverse_at_paper_alpha(k):
+    # alpha 29.9 is the paper benchmark's range: Psi's condition number ~3e6
+    grid, f, psi = posterior_instance(24, 20, eta=CovParams(1.5, 29.9), seed=11)
+    np.testing.assert_allclose(local_variance(f, psi, k=k), dense_local_variance(f, psi, k),
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (6, 5)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_local_variance_matches_dense_block_inverse_on_wrapping_grids(shape, k):
+    # windows as wide as the grid: pixels at both window edges are stencil
+    # neighbours across the wrap
+    grid, f, psi = posterior_instance(*shape, seed=12)
+    np.testing.assert_allclose(local_variance(f, psi, k=k), dense_local_variance(f, psi, k),
+                               rtol=1e-12)
+
+
+def symmetrized_random_spectrum(shape, seed):
+    raw = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, size=shape))
+    return SpectralField(0.5 * (raw + np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid: SpectralField(quasi_matern_spectrum(CovParams(1.5, 3.0), grid).values ** 2),
+    lambda grid: symmetrized_random_spectrum((grid.n1, grid.n2), seed=13),
+], ids=["squared_quasi_matern", "symmetrized_random"])
+def test_local_variance_rejects_a_precision_that_is_not_a_stencil(make):
+    grid = GridSpec.unit(12, 10)
+    f = make(grid)
+    psi = np.ones(grid.n)
+    with pytest.raises(ConfigError, match="quasi-Matern"):
+        local_variance(f, psi, k=5)
+
+
+def test_local_variance_rejects_an_indefinite_block():
+    # a 5-point stencil with a positive center but axis weights too large to
+    # be positive definite; k = 3 has no window lag outside the stencil
+    inv_row = np.zeros(36)
+    inv_row[0] = 1.0
+    inv_row[[1, 5, 6, 30]] = -2.0  # lags (+-1, 0) and (0, +-1), column-major
+    f = SimpleNamespace(shape=(6, 6), inv_row=inv_row)
+    with pytest.raises(NumericalError, match="positive definite"):
+        local_variance(f, np.zeros(36), k=3)
+
+
+def test_local_variance_schedule_is_built_once_per_shape():
+    grid, f, psi = posterior_instance(9, 7, seed=14)
+    posterior._schedule.cache_clear()
+    first = local_variance(f, psi, k=5)
+    second = local_variance(f, 2.0 * psi, k=5)
+    info = posterior._schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.all(second < first)
 
 
 def test_local_variance_tight_prior_is_tiny():
@@ -185,6 +244,18 @@ def test_estimate_intensity_composition():
     np.testing.assert_allclose(est.intensity, np.exp(X @ beta) * est.latent_mean,
                                rtol=1e-12)
     assert np.all(est.latent_mean >= np.exp(est.z_mode))
+
+
+def test_estimate_intensity_equals_its_parts_bit_for_bit():
+    grid, f, _ = posterior_instance(8, 8, seed=15)
+    rng = np.random.default_rng(16)
+    W = rng.standard_normal(grid.n)
+    X = np.column_stack([np.ones(grid.n), rng.standard_normal(grid.n)])
+    beta = np.array([0.3, -0.4])
+    est = estimate_intensity(W, X, beta, f, grid.delta(), k=5)
+    np.testing.assert_array_equal(est.z_mode, recover_z(W, X, beta))
+    np.testing.assert_array_equal(est.intensity,
+                                  intensity_mean(est.z_mode, est.local_var, X, beta))
 
 
 def test_estimate_intensity_without_design():

@@ -137,6 +137,15 @@ def test_interior_excludes_edge_errors():
     assert interior == 0.0 and full > 0.0
 
 
+@pytest.mark.parametrize("name,bad", [("truth", np.nan), ("est", np.inf), ("est", -np.inf)])
+def test_rmse_rejects_a_non_finite_input(name, bad):
+    # a NaN used to come back as the RMSE and reach the score JSON as NaN
+    v = {"est": np.zeros(GRID.n), "truth": np.zeros(GRID.n)}
+    v[name][5] = bad
+    with pytest.raises(ConfigError, match=f"rmse input {name} has a non-finite"):
+        rmse_log_intensity(v["est"], v["truth"], GRID)
+
+
 def test_rmse_validation():
     with pytest.raises(ConfigError):
         rmse_log_intensity(np.zeros(10), np.zeros(10), GRID)
