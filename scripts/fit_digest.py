@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
-"""Print a fit and an objective sha256 digest and the work counts per benchmark fit.
+"""Print fit, predict and objective sha256 digests and the work counts per benchmark fit.
 
 Run at two commits and compare, to show that a change leaves fits
-bit-identical:
+bit-identical, or that a change to prediction leaves the fit alone:
 
     python3 scripts/fit_digest.py --workload paper70 sparse70 rough128 --seed 0 1
 
 For each workload and seed the inputs, the fit and the prediction are the
 benchmark's own (perfbench/run.py's set_up, run_fit and run_predict, imported
 and not modified).  The fit digest covers theta*, W*, Z*, the map count, the
-converged flag, the diagnostics without runtime_seconds and every array
-estimate_intensity returns; the objective digest covers the objective trace
-alone, so a change that prices Q differently at rounding level can show that
-the fit itself is unchanged.  The digests are followed by the fit's work
-counts, which repeat exactly from run to run where its wall time does not,
-so a solver change can be sized without timing noise.  Each line reads
+converged flag and the diagnostics without runtime_seconds; the predict
+digest covers every array estimate_intensity returns; the objective digest
+covers the objective trace alone, so a change that prices Q differently at
+rounding level can show that the fit itself is unchanged.  The digests are
+followed by the fit's work counts, which repeat exactly from run to run
+where its wall time does not, so a solver change can be sized without
+timing noise.  Each line reads
 
-    <workload> seed <seed> fit <hex> objective <hex> maps <int>
+    <workload> seed <seed> fit <hex> predict <hex> objective <hex> maps <int>
     converged <bool> newton_steps <int> newton_pcg_iterations <int>
     probe_pcg_iterations <int>
 
@@ -50,12 +51,12 @@ def sha256(*arrays, extra=None) -> str:
 
 
 def fit_digests(res, est) -> tuple:
-    """(fit digest, objective digest) of one fit and its prediction."""
+    """(fit, predict, objective) digests of one fit and its prediction."""
     diagnostics = {k: v for k, v in res.diagnostics.items() if k != "runtime_seconds"}
     fit = sha256(("theta", res.theta_star.vector()), ("W", res.W_star), ("Z", res.Z_star),
-                 *((f.name, getattr(est, f.name)) for f in fields(est)),
                  extra=[res.em_iterations, res.converged, diagnostics])
-    return fit, sha256(("objective", res.objective_trace))
+    predict = sha256(*((f.name, getattr(est, f.name)) for f in fields(est)))
+    return fit, predict, sha256(("objective", res.objective_trace))
 
 
 def work_counts(res) -> dict:
@@ -77,9 +78,10 @@ def main(argv=None) -> int:
         for seed in args.seed:
             inputs = perfbench.set_up(perfbench.WORKLOADS[name], args.scenario_seed, seed)
             res = perfbench.run_fit(inputs)
-            fit, objective = fit_digests(res, perfbench.run_predict(inputs, res))
+            fit, predict, objective = fit_digests(res, perfbench.run_predict(inputs, res))
             counts = " ".join(f"{k} {v}" for k, v in work_counts(res).items())
-            print(f"{name} seed {seed} fit {fit} objective {objective} {counts}", flush=True)
+            print(f"{name} seed {seed} fit {fit} predict {predict} objective {objective} "
+                  f"{counts}", flush=True)
     return 0
 
 
