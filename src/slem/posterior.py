@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError
 from .laplace import clamped_exp
 from .spectral import SpectralField
 
-CHUNK = 1024  # pixels eliminated together; one (entries, CHUNK) array each
+CHUNK = 1024  # pixels eliminated together, rounded down to whole grid columns
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ class _Schedule:
     0..k^2-1 are the diagonal (a, a); the rest are the off-diagonal (a, b),
     a < b, that are in the stencil or filled in by eliminating.  Entry e
     starts at inv_row[lags[e]] if stencil[e], else at 0.  Pivot p reads its
-    column cols[p], the entries (p, b) of its later neighbours b, and for each
-    pair (i, j) of them with i <= j applies E[t] -= E[col_i] E[col_j] / E[p]
-    to entry t of pairs[p] = (i's, j's, t's).
+    column, the entries (p, b) of its later neighbours b, numbered
+    cols[p] = (start, stop), and for each pair (i, j) of them with i <= j
+    applies E[t] -= E[start + i] E[start + j] / E[p] to entry t of
+    pairs[p] = (i's, j's, t's).
     """
 
     o1: np.ndarray        # window offset of each pixel, elimination order
@@ -91,19 +92,21 @@ def _schedule(n1: int, n2: int, k: int) -> _Schedule:
     pos = {v: p for p, v in enumerate(order)}
     later = [sorted(pos[a] for a in nbrs[v]) for v in order]
 
+    # each pivot's column is numbered as one run of entries
     entry = {(p, p): p for p in range(k2)}
-    for p, nb in enumerate(later):
-        for b in nb:
-            entry[p, b] = len(entry)
     cols, pairs = [], []
     for p, nb in enumerate(later):
+        start = len(entry)
+        for b in nb:
+            entry[p, b] = len(entry)
+        cols.append((start, len(entry)))
+    for p, nb in enumerate(later):
         i, j = np.triu_indices(len(nb))
-        cols.append(np.array([entry[p, b] for b in nb], dtype=np.intp))
         pairs.append((i, j, np.array([entry[nb[a], nb[b]] for a, b in zip(i, j)],
                                      dtype=np.intp)))
     va, vb = np.array(order)[np.array(list(entry)).T]
     arrays = (o1[order], o2[order], lag[va, vb], adj[va, vb], np.unique(lag[~adj]))
-    for arr in (*arrays, *cols, *(x for pair in pairs for x in pair)):
+    for arr in (*arrays, *(x for pair in pairs for x in pair)):
         arr.flags.writeable = False
     return _Schedule(*arrays, tuple(cols), tuple(pairs))
 
@@ -116,7 +119,9 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     window, 1 / (the center's Schur complement).  The quasi-Matern Sigma^{-1}
     is a 13-point stencil, so the block is sparse: the non-center pixels are
     eliminated in a minimum-degree order computed once per (n1, n2, k), and
-    only the stencil and its fill are updated, for a chunk of pixels at once.
+    only the stencil and its fill are updated.  Pixels are eliminated a chunk
+    of whole grid columns at a time, in one workspace allocated per call; a
+    window's curvature is read as a shifted slice of the wrap-padded psi_diag.
     A spectrum whose Sigma^{-1} has weight outside the stencil is rejected.
     """
     n1, n2 = f_star.shape
@@ -135,27 +140,50 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
         raise ConfigError("local_variance needs a quasi-Matern (13-point stencil) "
                           "precision; Sigma^{-1} has weight outside the stencil")
     prior = np.where(s.stencil, inv_row[s.lags], 0.0)[:, None]
+    h = k // 2
+    padded = np.pad(psi_diag.reshape((n1, n2), order="F"), h, mode="wrap")
+
+    # one workspace per call; each chunk and pivot works in views of it
+    cols = max(1, CHUNK // n1)
+    width = n1 * cols
+    entries = prior.shape[0]
+    E_buf = np.empty(entries * width)
+    r_buf = np.empty(max(stop - start for start, stop in s.cols) * width)
+    u_buf = np.empty(max(t.size for _, _, t in s.pairs) * width)
+    v_buf = np.empty_like(u_buf)
 
     out = np.empty(grid_n)
-    for start in range(0, grid_n, CHUNK):
-        pix = np.arange(start, min(start + CHUNK, grid_n))
-        nbr = ((pix % n1 + s.o1[:, None]) % n1
-               + n1 * ((pix // n1 + s.o2[:, None]) % n2))
-        E = np.repeat(prior, pix.size, axis=1)
-        E[:k * k] += psi_diag[nbr]
+    for c0 in range(0, n2, cols):
+        nc = min(cols, n2 - c0)
+        w = n1 * nc
+        E = E_buf[:entries * w].reshape(entries, w)
+        E[...] = prior
+        for a in range(k * k):
+            lo1, lo2 = h + s.o1[a], h + s.o2[a] + c0
+            window = E[a].reshape((n1, nc), order="F")
+            window += padded[lo1:lo1 + n1, lo2:lo2 + nc]
         # a bad pivot is caught below, where it stays on the diagonal
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for p, (col, (i, j, target)) in enumerate(zip(s.cols, s.pairs)):
-                c = E[col]
-                update = c[i]
-                update *= (c / E[p])[j]
-                E[target] -= update
+            for p, ((start, stop), (i, j, target)) in enumerate(zip(s.cols, s.pairs)):
+                c = E[start:stop]
+                r = r_buf[:c.size].reshape(c.shape)
+                u = u_buf[:target.size * w].reshape(target.size, w)
+                v = v_buf[:u.size].reshape(u.shape)
+                # take with out= buffers a copy under mode="raise"; the
+                # schedule's indices are in range, so "clip" never clips
+                np.divide(c, E[p], out=r)
+                np.take(c, i, axis=0, out=u, mode="clip")
+                np.take(r, j, axis=0, out=v, mode="clip")
+                u *= v
+                np.take(E, target, axis=0, out=v, mode="clip")
+                v -= u
+                E[target] = v
         # no later pivot updates an earlier one, so the diagonal now holds
         # every pivot and, last, the center's Schur complement
         piv = E[:k * k]
-        if not np.all(np.isfinite(piv) & (piv > 0)):
+        if not (piv.min() > 0 and np.isfinite(piv.max())):
             raise NumericalError("local precision block not positive definite")
-        out[pix] = 1.0 / piv[-1]
+        np.divide(1.0, piv[-1], out=out[n1 * c0:n1 * c0 + w])
     return out
 
 
