@@ -8,7 +8,10 @@ Sigma^{-1} is a 13-point stencil (its GMRF form), so each neighborhood block
 is sparse: the pixel's variance is 1 / its Schur complement after the other
 window pixels are eliminated along the stencil and its fill, in one
 minimum-degree order shared by every pixel.  A spectrum whose Sigma^{-1} is
-not such a stencil is rejected.
+not such a stencil is rejected.  The elimination runs over chunks of whole
+grid columns in one workspace allocated per call, and each window's curvature
+is a shifted slice of the wrap-padded curvature raster, so its loops allocate
+no arrays.
 """
 from __future__ import annotations
 
@@ -111,6 +114,16 @@ def _schedule(n1: int, n2: int, k: int) -> _Schedule:
     return _Schedule(*arrays, tuple(cols), tuple(pairs))
 
 
+def _grid_vector(name: str, x, grid_n: int) -> np.ndarray:
+    """x as a float vector over the grid's pixels; any other shape, a 2-D
+    raster included, is a ConfigError naming it."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (grid_n,):
+        raise ConfigError(f"{name} must be a vector of the grid's {grid_n} pixels, "
+                          f"got shape {x.shape}")
+    return x
+
+
 def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     """Approximate diag(Psi^{-1}) from k x k neighborhood submatrix inversions.
 
@@ -126,9 +139,7 @@ def local_variance(f_star: SpectralField, psi_diag, k: int = 5) -> np.ndarray:
     """
     n1, n2 = f_star.shape
     grid_n = n1 * n2
-    psi_diag = np.asarray(psi_diag, dtype=float)
-    if psi_diag.size != grid_n:
-        raise ConfigError(f"psi_diag length {psi_diag.size} does not match grid size {grid_n}")
+    psi_diag = _grid_vector("psi_diag", psi_diag, grid_n)
     if np.any(psi_diag < 0) or not np.all(np.isfinite(psi_diag)):
         raise NumericalError("psi_diag must be finite and non-negative")
     if k % 2 == 0 or k < 1 or k > min(n1, n2):
@@ -203,11 +214,13 @@ def estimate_intensity(W_star, X, beta_star, f_star: SpectralField, delta,
 
     z_mode and intensity equal recover_z's and intensity_mean's bit for bit;
     X beta* and the lognormal correction are each computed once here."""
-    W_star = np.asarray(W_star, dtype=float)
+    grid_n = f_star.shape[0] * f_star.shape[1]
+    W_star = _grid_vector("W_star", W_star, grid_n)
+    delta = _grid_vector("delta", delta, grid_n)
     beta_star = np.asarray(beta_star, dtype=float)
-    xb = design_matrix(X, W_star.size, beta_star.size) @ beta_star
+    xb = design_matrix(X, grid_n, beta_star.size) @ beta_star
     z = W_star - xb
-    psi_diag = np.asarray(delta, float) * clamped_exp(W_star)
+    psi_diag = delta * clamped_exp(W_star)
     lv = local_variance(f_star, psi_diag, k)
     latent = clamped_exp(z + 0.5 * lv)
     return IntensityEstimate(z, lv, latent, clamped_exp(xb) * latent)

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,6 +154,46 @@ def test_local_variance_schedule_is_built_once_per_shape():
     assert np.all(second < first)
 
 
+@pytest.mark.parametrize("n1,n2,k", [(9, 7, 5), (24, 20, 7), (posterior.CHUNK + 7, 5, 5)],
+                         ids=["wrapping_9x7", "paper_alpha_24x20", "column_over_chunk"])
+def test_local_variance_chunking_changes_no_bit(n1, n2, k, monkeypatch):
+    # 9 x 7: no chunk width divides n2 and the windows wrap; the tallest grid
+    # has one column per chunk at every CHUNK
+    grid, f, psi = posterior_instance(n1, n2, eta=CovParams(1.5, 29.9), seed=17)
+    expected = local_variance(f, psi, k=k)
+    for chunk in (1, n1 - 1, n1, 2 * n1 + 1, posterior.CHUNK):
+        monkeypatch.setattr(posterior, "CHUNK", chunk)
+        assert np.array_equal(local_variance(f, psi, k=k), expected), chunk
+
+
+@pytest.mark.parametrize("n1,n2,k", [(5, 5, 5), (6, 5, 3), (9, 7, 5), (24, 20, 7), (30, 30, 9)])
+def test_local_variance_schedule_numbers_each_column_as_one_run(n1, n2, k):
+    s = posterior._schedule(n1, n2, k)
+    k2 = k * k
+    stops = [k2] + [stop for _, stop in s.cols]
+    assert [start for start, _ in s.cols] == stops[:-1]  # runs tile k^2.. in pivot order
+    assert stops[-1] == s.lags.size
+    assert s.cols[-1][0] == s.cols[-1][1]  # the center has no later neighbour
+    for p, ((start, stop), (i, j, target)) in enumerate(zip(s.cols, s.pairs)):
+        assert np.all(i <= j) and np.all(j < stop - start)
+        # a pair updates a later pivot's diagonal or column, never this column
+        assert np.all(((target > p) & (target < k2)) | (target >= stop))
+
+
+def test_local_variance_allocates_one_workspace_per_call():
+    # 70 x 70 at k = 5: the workspace is (188 + 11 + 2 * 66) x 980 doubles,
+    # 2.6 MB; per-pivot temporaries and per-chunk index arrays took 4.5 MB
+    grid, f, psi = posterior_instance(70, 70, eta=CovParams(1.5, 29.9), seed=18)
+    local_variance(f, psi, k=5)
+    tracemalloc.start()
+    try:
+        local_variance(f, psi, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
 def test_local_variance_tight_prior_is_tiny():
     grid, f, psi = posterior_instance(6, 6, eta=CovParams(1e-6, 3.0))
     assert np.all(local_variance(f, psi, k=5) < 1e-3)
@@ -192,6 +233,24 @@ def test_local_variance_rejects_bad_psi():
     bad[0] = np.nan
     with pytest.raises(NumericalError):
         local_variance(f, bad, k=3)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (1, 48)])
+def test_local_variance_rejects_a_psi_that_is_not_a_grid_vector(shape):
+    # a right-sized raster is rejected, not read in some pixel order
+    grid, f, _ = posterior_instance(8, 6)
+    with pytest.raises(ConfigError, match="psi_diag"):
+        local_variance(f, np.ones(shape), k=3)
+
+
+@pytest.mark.parametrize("name", ["W_star", "delta"])
+@pytest.mark.parametrize("shape", [(47,), (8, 6)])
+def test_estimate_intensity_rejects_inputs_that_are_not_grid_vectors(name, shape):
+    grid, f, _ = posterior_instance(8, 6)
+    args = {"W_star": np.zeros(grid.n), "delta": grid.delta()}
+    args[name] = np.ones(shape)
+    with pytest.raises(ConfigError, match=name):
+        estimate_intensity(args["W_star"], None, np.zeros(0), f, args["delta"], k=3)
 
 
 def test_local_variance_positive_and_below_prior():
