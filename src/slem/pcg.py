@@ -13,7 +13,10 @@ epsilon alone; forcing = FORCING is the inexact-Newton forcing term
 the next step of an outer iteration is solved to a tenth of its starting
 residual, and epsilon is the floor that binds once that residual is
 small.  An exact-solution guard (||r|| <= 1e-12 ||b||) catches systems
-solved in fewer steps than the change rule can see.
+solved in fewer steps than the change rule can see.  Both tests run before
+the new residual is preconditioned, so the residual that stops a solve (or
+ends its last allowed iteration) is never preconditioned: a solve of k
+iterations applies M^{-1} exactly k times.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ class PcgResult:
     x: np.ndarray
     iterations: int
     converged: bool
-    resid_norms: list = field(default_factory=list)  # preconditioned norms sqrt(r M^-1 r)
+    resid_norms: list = field(default_factory=list)  # sqrt(r_j M^-1 r_j), j < iterations
 
 
 def default_max_iter(n: int) -> int:
@@ -100,9 +103,6 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
             raise NumericalError(f"PCG iterate contains non-finite values at iteration {k}")
         change_rms = abs(alpha) * np.linalg.norm(Ap) / sqrt_n  # = ||r_{k+1} - r_k|| / sqrt(n)
         r -= alpha * Ap
-        z = op.precondition(r)
-        rz_new = _preconditioned_norm2(r, z)
-        result.resid_norms.append(math.sqrt(rz_new))
         rnorm = np.linalg.norm(r)
         if rnorm < best_rnorm:
             best_rnorm = rnorm
@@ -112,6 +112,11 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
             result.x = x
             result.converged = True
             return result
+        if k == max_iter:
+            break  # no iteration follows to use M^{-1} r
+        z = op.precondition(r)
+        rz_new = _preconditioned_norm2(r, z)
+        result.resid_norms.append(math.sqrt(rz_new))
         beta = rz_new / rz
         rz = rz_new
         p *= beta  # p = z + beta p, updated in place

@@ -2,14 +2,18 @@
 
 One latent field Z per scenario; replicates share Z (and the covariates) and
 differ only in the Poisson draw, so replicate spread isolates observation
-noise exactly as in the estimator benchmarks.
+noise exactly as in the estimator benchmarks.  A scenario draws its field,
+design, log-intensity and Poisson mean once, on first use, and every
+replicate shares those read-only arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .em import config_number
 from .errors import ConfigError
 from .grid import CountGrid, GridSpec, PointPattern, unflatten
 from .laplace import EXP_CLAMP
@@ -28,8 +32,29 @@ class SimScenario:
         object.__setattr__(self, "beta_true", np.atleast_1d(np.asarray(self.beta_true, float)))
         if not np.all(np.isfinite(self.beta_true)):
             raise ConfigError(f"beta must be finite, got {self.beta_true.tolist()}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        config_number("replicates", self.replicates, integer=True, least=1)
+        config_number("seed", self.seed, integer=True, least=0)
+
+    @cached_property
+    def _drawn(self):
+        """(X, Z, log_lambda, mean): the replicate-invariant part, drawn on
+        first use and read-only, so every replicate shares one copy.  X is
+        (n, p+1), or (n, 0) for a scenario without beta; mean = Delta lambda."""
+        grid = self.grid
+        f = quasi_matern_spectrum(self.eta_true, grid)
+        Z = sample_gp(f, self.seed)
+        # an intercept column, then one standard-normal column per slope
+        p1 = self.beta_true.size
+        rng = np.random.default_rng([self.seed, 1])
+        X = np.ones((grid.n, p1))
+        X[:, 1:] = rng.standard_normal((max(p1 - 1, 0), grid.n)).T
+        log_lam = X @ self.beta_true + Z
+        if np.any(log_lam > EXP_CLAMP):
+            raise ConfigError("scenario intensity overflows exp clamp; rescale beta or eta")
+        drawn = X, Z, log_lam, grid.delta() * np.exp(log_lam)
+        for a in drawn:
+            a.flags.writeable = False
+        return drawn
 
 
 @dataclass(frozen=True)
@@ -42,35 +67,25 @@ class SimulatedDataset:
 
 
 def scenario_design(scenario: SimScenario):
-    """(X, Z, log_lambda): the replicate-invariant part of a scenario.  X is
-    (n, p+1), or (n, 0) for a scenario without beta."""
-    grid = scenario.grid
-    f = quasi_matern_spectrum(scenario.eta_true, grid)
-    Z = sample_gp(f, scenario.seed)
-    # an intercept column, then one standard-normal column per slope
-    p1 = scenario.beta_true.size
-    rng = np.random.default_rng([scenario.seed, 1])
-    X = np.ones((grid.n, p1))
-    X[:, 1:] = rng.standard_normal((max(p1 - 1, 0), grid.n)).T
-    log_lam = X @ scenario.beta_true + Z
-    if np.any(log_lam > EXP_CLAMP):
-        raise ConfigError("scenario intensity overflows exp clamp; rescale beta or eta")
-    return X, Z, log_lam
+    """(X, Z, log_lambda): the replicate-invariant part of a scenario, drawn
+    once per scenario object and read-only.  X is (n, p+1), or (n, 0) for a
+    scenario without beta."""
+    return scenario._drawn[:3]
 
 
 def simulate_dataset(scenario: SimScenario, replicate_index: int = 0) -> SimulatedDataset:
     """Counts for one replicate: Y_i ~ Poisson(Delta_i lambda_i), seeded by
     (scenario.seed, replicate_index) so replicates are independent but
-    reproducible."""
+    reproducible.  X, Z_true and log_lambda_true are the scenario's shared
+    read-only arrays."""
     if not 0 <= replicate_index < scenario.replicates:
         raise ConfigError(
             f"replicate index {replicate_index} outside 0..{scenario.replicates - 1}"
         )
-    grid = scenario.grid
-    X, Z, log_lam = scenario_design(scenario)
-    mean = grid.delta() * np.exp(log_lam)
+    X, Z, log_lam, mean = scenario._drawn
     rng = np.random.default_rng([scenario.seed, 2, replicate_index])
     counts = rng.poisson(mean)
+    grid = scenario.grid
     Y = CountGrid(unflatten(counts, grid.n1, grid.n2), grid)
     return SimulatedDataset(Y, X, Z, log_lam, replicate_index)
 

@@ -117,8 +117,19 @@ def test_nonconvergence_returns_best_iterate():
 def test_resid_norm_history_recorded():
     A, b = spd_test_system(8)
     res = pcg_solve(dense_operator(A), b, epsilon=1e-10, max_iter=200)
-    assert len(res.resid_norms) == res.iterations + 1
+    assert len(res.resid_norms) == res.iterations
     assert res.resid_norms[-1] < res.resid_norms[0]
+
+
+@pytest.mark.parametrize("epsilon,max_iter,converged", [(1e-10, 200, True), (1e-14, 3, False)])
+def test_precondition_runs_once_per_iteration(epsilon, max_iter, converged):
+    # the residual that stops a solve is never preconditioned
+    A, b = spd_test_system(9)
+    op, calls = dense_operator(A), []
+    counted = SpdOperator(op.apply, lambda r: calls.append(1) or op.precondition(r))
+    res = pcg_solve(counted, b, epsilon=epsilon, max_iter=max_iter)
+    assert res.converged is converged and res.iterations > 1
+    assert len(calls) == res.iterations == len(res.resid_norms)
 
 
 def test_indefinite_operator_rejected():
