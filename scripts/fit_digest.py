@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Print fit, predict and objective sha256 digests and the work counts per benchmark fit.
+"""Print inputs, fit, predict and objective sha256 digests and the work counts per benchmark fit.
 
-Run at two commits and compare, to show that a change leaves fits
-bit-identical, or that a change to prediction leaves the fit alone:
+Run at two commits and compare, to show that a change leaves the benchmark's
+inputs and fits bit-identical, or that a change to prediction leaves the fit
+alone:
 
     python3 scripts/fit_digest.py --workload paper70 sparse70 rough128 --seed 0 1
 
 For each workload and seed the inputs, the fit and the prediction are the
 benchmark's own (perfbench/run.py's set_up, run_fit and run_predict, imported
-and not modified).  The fit digest covers theta*, W*, Z*, the map count, the
+and not modified).  The inputs digest covers what set_up simulates: the
+training counts, design, latent field and log-intensity, and every held-out
+count grid.  The fit digest covers theta*, W*, Z*, the map count, the
 converged flag and the diagnostics without runtime_seconds; the predict
 digest covers every array estimate_intensity returns; the objective digest
 covers the objective trace alone, so a change that prices Q differently at
@@ -17,8 +20,8 @@ followed by the fit's work counts, which repeat exactly from run to run
 where its wall time does not, so a solver change can be sized without
 timing noise.  Each line reads
 
-    <workload> seed <seed> fit <hex> predict <hex> objective <hex> maps <int>
-    converged <bool> newton_steps <int> newton_pcg_iterations <int>
+    <workload> seed <seed> inputs <hex> fit <hex> predict <hex> objective <hex>
+    maps <int> converged <bool> newton_steps <int> newton_pcg_iterations <int>
     probe_pcg_iterations <int>
 
 on one line.
@@ -48,6 +51,14 @@ def sha256(*arrays, extra=None) -> str:
     if extra is not None:
         h.update(json.dumps(extra, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def inputs_digest(inputs) -> str:
+    """Digest of the simulated training data and held-out counts."""
+    train = inputs.train
+    return sha256(("Y", train.Y.values), ("X", train.X), ("Z_true", train.Z_true),
+                  ("log_lambda_true", train.log_lambda_true),
+                  *((f"heldout{h}", Y.values) for h, Y in enumerate(inputs.heldout)))
 
 
 def fit_digests(res, est) -> tuple:
@@ -80,8 +91,8 @@ def main(argv=None) -> int:
             res = perfbench.run_fit(inputs)
             fit, predict, objective = fit_digests(res, perfbench.run_predict(inputs, res))
             counts = " ".join(f"{k} {v}" for k, v in work_counts(res).items())
-            print(f"{name} seed {seed} fit {fit} predict {predict} objective {objective} "
-                  f"{counts}", flush=True)
+            print(f"{name} seed {seed} inputs {inputs_digest(inputs)} fit {fit} "
+                  f"predict {predict} objective {objective} {counts}", flush=True)
     return 0
 
 

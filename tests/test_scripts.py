@@ -46,13 +46,13 @@ def test_fit_digest_repeats_across_runs(tmp_path):
     assert runs[0] == runs[1]
     words = [line.split() for line in runs[0]]
     assert [w[:3] for w in words] == [["smoke", "seed", "0"], ["smoke", "seed", "3"]]
-    assert all(w[3:9:2] == ["fit", "predict", "objective"] for w in words)
-    assert all(len(hex_) == 64 for w in words for hex_ in w[4:10:2])
-    assert all(words[0][i] != words[1][i] for i in (4, 6, 8))
+    assert all(w[3:11:2] == ["inputs", "fit", "predict", "objective"] for w in words)
+    assert all(len(hex_) == 64 for w in words for hex_ in w[4:12:2])
+    assert all(words[0][i] != words[1][i] for i in (4, 6, 8, 10))
     # the work counts follow the digests, as name-value pairs
-    assert all(w[9::2] == ["maps", "converged", "newton_steps", "newton_pcg_iterations",
-                           "probe_pcg_iterations"] for w in words)
+    assert all(w[11::2] == ["maps", "converged", "newton_steps", "newton_pcg_iterations",
+                            "probe_pcg_iterations"] for w in words)
     for w in words:
-        counts = dict(zip(w[9::2], w[10::2]))
+        counts = dict(zip(w[11::2], w[12::2]))
         assert counts.pop("converged") in ("True", "False")
         assert all(int(v) > 0 for v in counts.values())

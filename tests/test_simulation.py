@@ -1,9 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import slem.simulation
+from golden_pipeline import GRID_DOC
 from slem import (ConfigError, CovParams, GridSpec, SimScenario, bin_points,
                   scatter_points, simulate_dataset)
+from slem.cli import main
 from slem.simulation import scenario_design
+from test_golden import EXPECTED_ROOT, assert_numeric_close
 
 GRID32 = GridSpec.unit(32, 32)
 
@@ -104,6 +111,80 @@ def test_scenario_validation():
         SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0), replicates=0)
     with pytest.raises(ConfigError):
         simulate_dataset(SimScenario(GRID32, CovParams(0.5, 2.0), np.zeros(0)), 1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "3"),
+    ("replicates", 2.5), ("replicates", True), ("replicates", np.float64(2.0)),
+])
+def test_scenario_rejects_a_seed_or_replicates_that_is_not_a_valid_integer(name, value):
+    # seed -1 and 1.5 used to fail later as bare numpy errors, and seed True
+    # and replicates 2.5 were accepted (the latter allowing replicate index 2)
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        SimScenario(GridSpec.unit(8, 8), CovParams(0.5, 2.0), np.zeros(0), **{name: value})
+
+
+def test_scenario_takes_numpy_integers():
+    scen = SimScenario(GridSpec.unit(8, 8), CovParams(0.5, 2.0), np.zeros(0),
+                       replicates=np.int64(2), seed=np.uint32(3))
+    assert simulate_dataset(scen, 1).replicate_index == 1
+
+
+def counting_field_draws(monkeypatch):
+    """A list that grows by one on each latent field draw."""
+    calls, draw = [], slem.simulation.sample_gp
+    monkeypatch.setattr(slem.simulation, "sample_gp",
+                        lambda *a, **kw: calls.append(1) or draw(*a, **kw))
+    return calls
+
+
+def test_replicates_draw_the_field_once_and_match_fresh_scenarios(monkeypatch):
+    args = (GRID32, CovParams(0.5, 2.0), np.array([0.2, 0.5]))
+    scen = SimScenario(*args, replicates=5, seed=13)
+    calls = counting_field_draws(monkeypatch)
+    data = [simulate_dataset(scen, i) for i in range(5)]
+    assert len(calls) == 1
+    for i, d in enumerate(data):
+        # a fresh scenario per replicate redraws the field and design
+        fresh = simulate_dataset(SimScenario(*args, replicates=5, seed=13), i)
+        np.testing.assert_array_equal(d.Y.values, fresh.Y.values)
+        for name in ("X", "Z_true", "log_lambda_true"):
+            assert np.array_equal(getattr(d, name), getattr(fresh, name))
+    assert len(calls) == 6
+
+
+def test_shared_design_arrays_are_read_only():
+    scen = SimScenario(GRID32, CovParams(0.5, 2.0), np.array([0.2, 0.5]), replicates=2, seed=14)
+    data = simulate_dataset(scen)
+    for a in (data.X, data.Z_true, data.log_lambda_true, *scenario_design(scen)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    np.testing.assert_array_equal(simulate_dataset(scen, 1).X, data.X)
+
+
+def test_overflow_is_raised_on_every_use_of_the_scenario():
+    scen = SimScenario(GRID32, CovParams(0.5, 2.0), np.array([100.0]), seed=12)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="exp clamp"):
+            simulate_dataset(scen)
+
+
+def test_cli_simulate_draws_the_field_once_and_keeps_the_golden_files(tmp_path, monkeypatch):
+    # the golden pipeline's scenario with four replicates: replicate 0 and the
+    # shared files must equal the stored one-replicate outputs
+    cfg = tmp_path / "simulate.json"
+    cfg.write_text(json.dumps({"grid": GRID_DOC, "sigma2": 1.5, "matern_range": 4.0,
+                               "beta": [0.5, 0.4], "replicates": 4, "seed": 0}))
+    calls = counting_field_draws(monkeypatch)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    assert len(calls) == 1
+    assert sorted(p.name for p in (tmp_path / "sim").glob("Y_*.csv")) == \
+        [f"Y_{r:03d}.csv" for r in range(4)]
+    for name in ("Z_true.csv", "log_lambda_true.csv", "X.csv", "Y_000.csv", "points_000.csv"):
+        got = (tmp_path / "sim" / name).read_text()
+        want = (Path(EXPECTED_ROOT) / "simulate" / name).read_text()
+        if got != want:  # test_golden's cross-platform fallback
+            assert_numeric_close(got, want, f"simulate/{name}")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
