@@ -29,7 +29,10 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_true", np.atleast_1d(np.asarray(self.beta_true, float)))
+        # an own read-only copy, so the drawn log-intensity cannot go stale
+        beta = np.array(self.beta_true, float, ndmin=1)
+        beta.flags.writeable = False
+        object.__setattr__(self, "beta_true", beta)
         if not np.all(np.isfinite(self.beta_true)):
             raise ConfigError(f"beta must be finite, got {self.beta_true.tolist()}")
         config_number("replicates", self.replicates, integer=True, least=1)

@@ -154,12 +154,15 @@ def test_replicates_draw_the_field_once_and_match_fresh_scenarios(monkeypatch):
 
 
 def test_shared_design_arrays_are_read_only():
-    scen = SimScenario(GRID32, CovParams(0.5, 2.0), np.array([0.2, 0.5]), replicates=2, seed=14)
+    beta = np.array([0.2, 0.5])
+    scen = SimScenario(GRID32, CovParams(0.5, 2.0), beta, replicates=2, seed=14)
     data = simulate_dataset(scen)
-    for a in (data.X, data.Z_true, data.log_lambda_true, *scenario_design(scen)):
+    for a in (data.X, data.Z_true, data.log_lambda_true, *scenario_design(scen), scen.beta_true):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
     np.testing.assert_array_equal(simulate_dataset(scen, 1).X, data.X)
+    beta[0] = 1.0  # the scenario holds its own copy
+    assert scen.beta_true[0] == 0.2
 
 
 def test_overflow_is_raised_on_every_use_of_the_scenario():
