@@ -29,7 +29,7 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        # an own read-only copy, so the drawn log-intensity cannot go stale
+        # its own read-only copy, so the drawn log-intensity cannot go stale
         beta = np.array(self.beta_true, float, ndmin=1)
         beta.flags.writeable = False
         object.__setattr__(self, "beta_true", beta)
