@@ -3,11 +3,10 @@
 The fit starts from a Poisson GLM of the counts (glm_start) and iterates one
 EM map, em_step: (beta, eta, W, U) -> (beta', eta', W', U').  E-step: the
 Laplace mode of W at the current theta, plus Hutchinson probe pairs for the
-trace correction.  The probes' v's are drawn from config.seed on every map,
-so the map is deterministic, and their solves U are warm-started from the
-previous map's, as the Newton iteration for W is.  M-step:
-generalized least squares for beta, then a profiled 1-D search over the range
-for eta.  The surrogate objective is
+trace correction, whose v's are drawn once per fit, so the map is
+deterministic; the probe solves U and the mode W start from the previous
+map's.  M-step: generalized least squares for beta, then a profiled 1-D
+search over the range for eta.  The surrogate objective is
 
     Q(theta | theta_t; M) = -1/2 [ log|Sigma_eta|
                                    + (W_t - X beta)' Sigma_eta^{-1} (W_t - X beta)
@@ -15,23 +14,15 @@ for eta.  The surrogate objective is
 
 Sigma_eta is circulant, so by Parseval the last two terms are one sum over
 frequencies of a power spectrum P(omega) of the residual and the probe pairs,
-divided by the candidate spectrum.  Each map transforms the probe solves u
-once and the residual once per beta it prices (the incumbent and, under the
-joint scheme, the GLS candidate).  For the quasi-Matern shape the sum over P
-is a quartic in alpha whose three coefficients are moments of P.
-quartic_profile takes those moments once per residual and returns the price
-of any (alpha, sigma2); the incumbent, the GLS candidate and every range
-candidate update_eta searches are priced from it without an FFT or a
-spectrum: a candidate costs one O(n) log sum (spectral.shape_log_det,
-memoized by grid shape and alpha) the first time its alpha is priced and
-O(1) after that.  The map builds one SpectralField, the E-step's.  q_tilde
-prices Q at any spectrum; it is the reference the tests check the closed
-form against, not part of the fit.
-
-fit transforms what no map changes once and hands it to every em_step: the
-design columns (design_dfts), which leave the GLS step one inverse transform
-per column, and the probes' v's (row_dfts), which leave each map the
-transforms of its u's.
+divided by the candidate spectrum.  The M-step works on rfft2's half plane:
+fit transforms the design and the v's once (fit_transforms), each map its W
+and its u's once, and GLS, the residual spectrum at any beta and the moments
+of P (power_moments) follow with no further transform.  For the quasi-Matern
+shape the sum over P is a quartic in alpha with those three moments as
+coefficients (quartic_profile), so every candidate of the range search costs
+O(1) once spectral.shape_log_det has its alpha.  The map builds one
+SpectralField, the E-step's.  power_spectrum, probe_spectrum and q_tilde
+price Q on the full plane at any spectrum: the tests' references.
 
 Both M-step updates are guarded by an explicit keep-the-better comparison
 against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
@@ -49,11 +40,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import CollinearityError, ConfigError, NumericalError
-from .grid import CountGrid, GridSpec, unflatten
+from .grid import CountGrid, GridSpec, flatten, unflatten
 from .covariates import _poisson_irls
 from .laplace import clamped_exp, newton_mode
-from .spectral import (CovParams, SpectralField, amplitude_for_variance, frequency_sines,
-                       half_dft, half_idft, log_det, quasi_matern_spectrum, shape_log_det)
+from .spectral import (CovParams, SpectralField, _sines, amplitude_for_variance, log_det,
+                       quasi_matern_spectrum, shape_log_det)
 # unused here; kept for perfbench/tracing.py, which patches em.sigma_inv_matvec
 from .spectral import sigma_inv_matvec  # noqa: F401
 from .trace import ProbePairs, make_probes, rademacher
@@ -167,9 +158,33 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def design_dfts(X, shape) -> list:
-    """half_dft of each column of the design X on a grid of this shape."""
-    return [half_dft(X[:, j], shape) for j in range(X.shape[1])]
+def half_spectra(rows, shape) -> np.ndarray:
+    """rfft2 of each row of the (m, n) array rows, in one call: row i is the
+    half plane of SpectralField.half, flattened as grid.flatten flattens."""
+    n1, n2 = shape
+    half = np.fft.rfft2(np.reshape(rows, (-1, n2, n1)), axes=(2, 1))
+    return half.reshape(-1, n1 * (n2 // 2 + 1))
+
+
+def _mirror_counts(n2):
+    """Frequencies each half-plane column stands for: 1 for column 0 and, for
+    even n2, column n2 / 2, whose mirrors are themselves, and 2 for the rest."""
+    k = np.arange(n2 // 2 + 1)
+    return np.where((k == 0) | (2 * k == n2), 1.0, 2.0)
+
+
+def design_spectra(X, shape):
+    """(x_hat, gram): the design's columns on the half plane (half_spectra)
+    and their Gram spectra gram[j, k] = Re(conj(x_hat_j) x_hat_k)."""
+    x_hat = half_spectra(np.ascontiguousarray(X.T), shape)
+    return x_hat, x_hat.real[:, None] * x_hat.real + x_hat.imag[:, None] * x_hat.imag
+
+
+def fit_transforms(X, grid: GridSpec, config: FitConfig):
+    """(x_hat, gram, v, v_hat), what no EM map changes: design_spectra, and
+    the probes' v's, rademacher(M, n, seed), with their half_spectra."""
+    v = rademacher(config.M, grid.n, config.seed)
+    return (*design_spectra(X, (grid.n1, grid.n2)), v, half_spectra(v, (grid.n1, grid.n2)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +192,15 @@ def design_dfts(X, shape) -> list:
 # ---------------------------------------------------------------------------
 
 
-def row_dfts(rows, grid: GridSpec) -> np.ndarray:
-    """2-D DFT of each row of the (M, n) array rows, as an (M, n1, n2) array."""
-    return np.fft.fft2(np.stack([unflatten(x, grid.n1, grid.n2) for x in rows]))
-
-
-def probe_spectrum(probes: ProbePairs, grid: GridSpec, v_dfts=None) -> np.ndarray:
-    """(1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)), the trace part of P.
-
-    The probe pairs are fixed within an EM map, so their 2M FFTs run once
-    per map, or only the M of the u's when v_dfts, row_dfts(probes.v,
-    grid), is given; power_spectrum adds the residual part.
-    """
+def probe_spectrum(probes: ProbePairs, grid: GridSpec) -> np.ndarray:
+    """(1/M) sum_i Re(conj(DFT(v_i)) DFT(u_i)), the trace part of P on the
+    full frequency grid; power_spectrum adds the residual part.  The fit takes
+    the same numbers on the half plane (em_step)."""
     if probes.v.shape[1] != grid.n:
         raise ConfigError(
             f"probe length {probes.v.shape[1]} does not match grid {grid.n1}x{grid.n2}")
-    vh = row_dfts(probes.v, grid) if v_dfts is None else v_dfts
-    uh = row_dfts(probes.u, grid)
+    vh, uh = (np.fft.fft2(np.reshape(a, (-1, grid.n2, grid.n1)).transpose(0, 2, 1))
+              for a in (probes.v, probes.u))
     return np.mean(vh.real * uh.real + vh.imag * uh.imag, axis=0)
 
 
@@ -224,19 +231,18 @@ def q_tilde(P, f: SpectralField, grid: GridSpec) -> float:
     return -0.5 * (log_det(f) + float(np.sum(P / f.values)) / grid.n)
 
 
-def update_beta(W_mode, X, f_t: SpectralField, column_dfts=None) -> np.ndarray:
-    """GLS solve of (X' Sigma^{-1} X) beta = X' Sigma^{-1} W.
-
-    column_dfts, design_dfts(X, f_t.shape) taken once per fit, spares the
-    forward transforms of X's columns: Sigma^{-1} X then costs one inverse
-    transform per column."""
+def update_beta(W_mode, X, f_t: SpectralField, design=None, w_hat=None) -> np.ndarray:
+    """GLS solve of (X' Sigma^{-1} X) beta = X' Sigma^{-1} W by Parseval on the
+    half plane, no inverse transform: X_j' Sigma^{-1} X_k = (1/n) sum gram_jk / f
+    and X_j' Sigma^{-1} W = (1/n) sum Re(x_hat_j conj(w_hat)) / f, columns
+    counted _mirror_counts times.  design, design_spectra(X, f_t.shape), and
+    w_hat, half_spectra(W_mode), spare the forward transforms (em_step's)."""
     X = np.asarray(X, dtype=float)
-    if column_dfts is None:
-        column_dfts = design_dfts(design_matrix(X, f_t.n), f_t.shape)
-    S = np.column_stack([half_idft(h * f_t.inv_half, f_t.shape) for h in column_dfts])
-    A = X.T @ S
-    A = 0.5 * (A + A.T)
-    b = S.T @ W_mode
+    x_hat, gram = design_spectra(design_matrix(X, f_t.n), f_t.shape) if design is None else design
+    w_hat = half_spectra(W_mode, f_t.shape)[0] if w_hat is None else w_hat
+    inv = flatten(f_t.inv_half * (_mirror_counts(f_t.shape[1]) / f_t.n))
+    A = gram @ inv
+    b = (x_hat @ (w_hat.conj() * inv)).real
     if not np.all(np.isfinite(A)) or np.linalg.cond(A) > 1e12:
         columns = _dependent_columns(X)
         raise CollinearityError(
@@ -255,9 +261,27 @@ def _dependent_columns(X):
     return tuple(sorted(int(piv[i]) for i in np.nonzero(bad)[0]))
 
 
+def power_moments(P, grid: GridSpec) -> np.ndarray:
+    """(A, B, C), the sums of P, P s and P s^2 over every frequency (s from
+    frequency_sines), for P on the full (n1, n2) grid or flattened on the half
+    plane as half_spectra's rows, each column there counted _mirror_counts times."""
+    P, s = np.asarray(P, dtype=float), _sines(grid.n1, grid.n2)
+    if P.ndim == 1 and P.size == grid.n1 * (grid.n2 // 2 + 1):
+        s = s[:, : grid.n2 // 2 + 1]
+        P = unflatten(P, *s.shape) * _mirror_counts(grid.n2)
+    if P.shape != s.shape:
+        raise ConfigError(f"power spectrum shape {P.shape} does not fit grid {grid.n1}x{grid.n2}")
+    Ps = P * s
+    moments = np.array([np.sum(P), np.sum(Ps), np.sum(Ps * s)])
+    if not np.all(np.isfinite(moments)):
+        raise NumericalError("residual or probes contain non-finite entries")
+    return moments
+
+
 def quartic_profile(P, grid: GridSpec):
     """(alpha, sigma2=None) -> (Q at (sigma2, alpha), sigma2), with sigma2,
-    if not given, the one that maximizes Q at alpha.
+    if not given, the one that maximizes Q at alpha, for a power spectrum P on
+    either plane (power_moments).
 
     With f = sigma2 g_alpha and S = (1/n) sum P / g_alpha,
     Q = -1/2 [n log sigma2 + sum log g_alpha + S / sigma2], maximized at
@@ -268,9 +292,7 @@ def quartic_profile(P, grid: GridSpec):
     and it depends on alpha and the grid alone: spectral.shape_log_det
     memoizes it across calls.
     """
-    s = frequency_sines(grid)
-    Ps = P * s
-    A, B, C = float(np.sum(P)), float(np.sum(Ps)), float(np.sum(Ps * s))
+    A, B, C = map(float, power_moments(P, grid))
 
     def price(alpha, sigma2=None):
         a2 = alpha * alpha
@@ -336,38 +358,44 @@ def _alpha_bounds(config: FitConfig, grid: GridSpec):
 
 
 def em_step(Y: CountGrid, X, grid: GridSpec, config: FitConfig, beta, eta: CovParams, W,
-            diagnostics: dict, U=None, column_dfts=None, v_dfts=None):
+            diagnostics: dict, U=None, fixed=None):
     """One EM map (beta, eta, W, U) -> (beta', eta', W', U', Q_inc, Q_new).
 
-    E-step: the Laplace mode from W and the M probe pairs, whose v's come from
-    config.seed on every map, so the map is a deterministic function of its
-    input.  Their solves U' start from the (M, n) array U, the previous map's
-    solves, or from zero if U is None.  M-step: the GLS beta (joint scheme
-    only) and the range search, each kept only when it does not lower Q, so
-    Q_new >= Q_inc.  column_dfts, design_dfts(X, (n1, n2)), and v_dfts,
-    row_dfts of the probes' v's, save transforming what no map changes (fit
-    takes each once); the map's output does not depend on them.
+    E-step: the Laplace mode from W and the M probe pairs, whose v's,
+    rademacher(M, n, config.seed), are the same on every map, so the map is a
+    deterministic function of its input.  Their solves U' start from the (M, n)
+    array U, the previous map's solves, or from zero if U is None.  M-step:
+    the GLS beta (joint scheme only) and the range search, each kept only when
+    it does not lower Q, so Q_new >= Q_inc.  Both work on the half plane, from
+    one transform of W' and one of the stacked U'.  fixed, fit_transforms(X,
+    grid, config), is built here if None; the output does not depend on which.
     """
+    x_hat, gram, v, v_hat = fit_transforms(X, grid, config) if fixed is None else fixed
     f = quasi_matern_spectrum(eta, grid)
-    Xbeta = X @ beta
-    lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
+    lap = newton_mode(Y, grid.delta(), X @ beta, f, W_init=W, epsilon=config.eps_newton,
                       max_newton=config.max_newton, eps_pcg=config.eps_pcg,
                       diagnostics=diagnostics)
     W = lap.mode
     if not lap.converged:
         diagnostics["newton_nonconverged"] = diagnostics.get("newton_nonconverged", 0) + 1
-    probes = make_probes(config.M, grid.n, config.seed, f, lap.c_diag, config.eps_pcg, U)
+    probes = make_probes(config.M, grid.n, config.seed, f, lap.c_diag, config.eps_pcg, U, v)
     diagnostics["probe_pcg_iterations"] = (diagnostics.get("probe_pcg_iterations", 0)
                                            + probes.pcg_iterations)
     if not probes.solve_converged.all():
         diagnostics["probe_nonconverged"] = diagnostics.get("probe_nonconverged", 0) + 1
-    probe_part = probe_spectrum(probes, grid, v_dfts)
+    shape = (grid.n1, grid.n2)
+    w_hat, u_hat = half_spectra(W, shape)[0], half_spectra(probes.u, shape)
+    probe_part = np.mean(v_hat.real * u_hat.real + v_hat.imag * u_hat.imag, axis=0)
 
-    price = quartic_profile(power_spectrum(W - Xbeta, grid, probe_part), grid)
+    def profile(b):
+        r_hat = w_hat - b @ x_hat
+        return quartic_profile(r_hat.real ** 2 + r_hat.imag ** 2 + probe_part, grid)
+
+    price = profile(beta)
     q_inc = q_mid = price(eta.alpha, eta.sigma2)[0]
     if X.shape[1] > 0 and config.scheme == "joint":
-        beta_cand = update_beta(W, X, f, column_dfts)
-        price_cand = quartic_profile(power_spectrum(W - X @ beta_cand, grid, probe_part), grid)
+        beta_cand = update_beta(W, X, f, (x_hat, gram), w_hat)
+        price_cand = profile(beta_cand)
         q_cand = price_cand(eta.alpha, eta.sigma2)[0]
         if q_cand >= q_inc:
             beta, price, q_mid = beta_cand, price_cand, q_cand
@@ -482,8 +510,7 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     diagnostics = {"stage1_iterations": 0}
     t0 = time.perf_counter()
     bounds = _alpha_bounds(config, grid)
-    column_dfts = design_dfts(X, (grid.n1, grid.n2))
-    v_dfts = row_dfts(rademacher(config.M, grid.n, config.seed), grid)
+    fixed = fit_transforms(X, grid, config)
     beta, eta, W = glm_start(Y, X, grid, bounds)
 
     rows = []
@@ -491,7 +518,7 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
     def em_map(x, state):
         W, U = state
         beta, eta, W, U, q_inc, q_new = em_step(Y, X, grid, config, *_unpack(x), W,
-                                                diagnostics, U, column_dfts, v_dfts)
+                                                diagnostics, U, fixed)
         rows.append((q_inc, q_new))
         return _pack(beta, eta), (W, U)
 

@@ -2,7 +2,8 @@
 
 The working variable is W = X beta + Z, so the prior mean is X beta and the
 conditional posterior of W given the data is approximated at its mode by
-N(W*, (Sigma^{-1} + C)^{-1}) with C = diag(Delta exp(W*)).
+N(W*, (Sigma^{-1} + C)^{-1}) with C = diag(Delta exp(W*)).  Outside its PCG
+solves, a mode costs one Sigma^{-1} transform (newton_mode).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .grid import CountGrid
 from .pcg import FORCING, SpdOperator, pcg_solve
-from .spectral import SpectralField, _filter, sigma_inv_matvec
+from .spectral import SpectralField, half_dft, half_idft, sigma_inv_matvec
 
 EXP_CLAMP = 50.0  # exp argument cap; anything above is already astronomical
 
@@ -54,31 +55,37 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
     scale = np.sqrt((inv0 + c_bar) / (inv0 + c_diag))
     middle = 1.0 / (f.inv_half + c_bar)
     return SpdOperator(
-        apply=lambda v: sigma_inv_matvec(f, v) + c_diag * v,
-        precondition=lambda r: scale * _filter(middle, scale * r, f.shape),
+        apply=lambda v: half_idft(half_dft(v, f.shape) * f.inv_half, f.shape) + c_diag * v,
+        precondition=lambda r: scale * half_idft(half_dft(scale * r, f.shape) * middle, f.shape),
     )
 
 
 def posterior_score(W, Y: CountGrid, delta, Xbeta, f: SpectralField, diagnostics=None):
     """Gradient of the W-posterior: Y - Delta exp(W) - Sigma^{-1}(W - X beta)."""
     W = np.asarray(W, dtype=float)
-    return _score(W, Y.vector(), delta, sigma_inv_matvec(f, W - Xbeta), diagnostics)
+    return _score(W, Y.vector(), delta * clamped_exp(W), sigma_inv_matvec(f, W - Xbeta),
+                  diagnostics)
 
 
-def _score(W, y_vec, delta, prior_pull, diagnostics):
-    """posterior_score given prior_pull = Sigma^{-1}(W - X beta)."""
+def _score(W, y_vec, mean, prior_pull, diagnostics):
+    """posterior_score given mean = Delta clamped_exp(W) and the prior_pull."""
     clamped = int(np.sum(W > EXP_CLAMP))
     if diagnostics is not None and clamped:
         diagnostics["clamp_events"] = diagnostics.get("clamp_events", 0) + clamped
-    return y_vec - delta * clamped_exp(W) - prior_pull
+    return y_vec - mean - prior_pull
 
 
 def log_posterior(W, y_vec, delta, Xbeta, f: SpectralField):
     """log p(W | Y, theta) up to an additive constant, and Sigma^{-1}(W - X beta),
     which the score at the same W reuses."""
-    q = W - Xbeta
-    prior_pull = sigma_inv_matvec(f, q)
-    return float(np.sum(y_vec * W - delta * clamped_exp(W)) - 0.5 * (q @ prior_pull)), prior_pull
+    prior_pull = sigma_inv_matvec(f, W - Xbeta)
+    return _log_density(W, y_vec, delta, Xbeta, prior_pull)[0], prior_pull
+
+
+def _log_density(W, y_vec, delta, Xbeta, prior_pull):
+    """(log_posterior at W from its prior_pull, with no transform, clamped_exp(W))."""
+    e = clamped_exp(W)
+    return float(np.sum(y_vec * W - delta * e) - 0.5 * ((W - Xbeta) @ prior_pull)), e
 
 
 def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
@@ -91,11 +98,12 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     change of max(eps_pcg, FORCING . rms(score)) (pcg.py).  Far from the mode
     a step is solved only to a tenth of its size; near it eps_pcg binds.  A
     full step that decreases the log posterior is halved up to 10 times.
-    Stops when n^{-1/2} ||W_{l+1} - W_l|| < epsilon.  The score at an
-    accepted W reuses the Sigma^{-1} transform its log posterior already
-    made, so each evaluation of the posterior costs one transform pair.
-    diagnostics, if given, accumulates the steps (newton_steps) and their
-    PCG iterations (newton_pcg_iterations) over calls.
+    Stops when n^{-1/2} ||W_{l+1} - W_l|| < epsilon.  Only the start's log
+    posterior transforms: with PCG's residual r = score - (Sigma^{-1} + C) step,
+    Sigma^{-1} step = score - r - C step prices each trial point W + t step in
+    O(n), and the accepted point's clamped exp is the next step's curvature and
+    score.  diagnostics, if given, accumulates the steps (newton_steps) and
+    their PCG iterations (newton_pcg_iterations) over calls.
     """
     y_vec = Y.vector()
     delta = np.asarray(delta, dtype=float)
@@ -107,25 +115,27 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
     obj, prior_pull = log_posterior(W, y_vec, delta, Xbeta, f)
     if not np.isfinite(obj):
         raise NumericalError("log posterior not finite at the Newton starting value")
+    mean = delta * clamped_exp(W)
 
     converged = False
     iterations = 0
     for _ in range(max_newton):
         iterations += 1
-        score = _score(W, y_vec, delta, prior_pull, diag)
-        sol = pcg_solve(precision_operator(f, delta * clamped_exp(W)), score, epsilon=eps_pcg,
-                        forcing=FORCING)
+        score = _score(W, y_vec, mean, prior_pull, diag)
+        sol = pcg_solve(precision_operator(f, mean), score, epsilon=eps_pcg, forcing=FORCING)
         diag["newton_pcg_iterations"] = diag.get("newton_pcg_iterations", 0) + sol.iterations
         if not sol.converged:
             diag["pcg_nonconverged"] = diag.get("pcg_nonconverged", 0) + 1
 
         step = sol.x
+        step_pull = score - sol.residual - mean * step  # Sigma^{-1} step
         t = 1.0
         accepted = False
         slack = 1e-12 * (1.0 + abs(obj))  # fp headroom so tiny steps near the mode still land
         for _ in range(10):
             W_new = W + t * step
-            obj_new, pull_new = log_posterior(W_new, y_vec, delta, Xbeta, f)
+            pull_new = prior_pull + t * step_pull
+            obj_new, e_new = _log_density(W_new, y_vec, delta, Xbeta, pull_new)
             if np.isfinite(obj_new) and obj_new >= obj - slack:
                 accepted = True
                 break
@@ -135,10 +145,10 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
             break  # cannot improve; keep current W, report non-convergence
 
         diff_rms = np.linalg.norm(W_new - W) / np.sqrt(n)
-        W, obj, prior_pull = W_new, obj_new, pull_new
+        W, obj, prior_pull, mean = W_new, obj_new, pull_new, delta * e_new
         if diff_rms < epsilon:
             converged = True
             break
 
     diag["newton_steps"] = diag.get("newton_steps", 0) + iterations
-    return LaplaceFit(W, delta * clamped_exp(W), iterations, converged)
+    return LaplaceFit(W, mean, iterations, converged)

@@ -20,13 +20,23 @@ from .laplace import EXP_CLAMP
 from .spectral import CovParams, quasi_matern_spectrum, sample_gp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimScenario:
     grid: GridSpec
     eta_true: CovParams
     beta_true: np.ndarray          # empty for a covariance-only scenario
     replicates: int = 1
     seed: int = 0
+
+    def _key(self):  # beta by value: + 0.0 makes -0.0 (== 0.0) hash as 0.0 does
+        beta = (self.beta_true + 0.0).tobytes()
+        return self.grid, self.eta_true, beta, self.replicates, self.seed
+
+    def __eq__(self, other):
+        return isinstance(other, SimScenario) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __post_init__(self):
         # its own read-only copy, so the drawn log-intensity cannot go stale

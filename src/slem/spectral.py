@@ -15,12 +15,10 @@ Sigma^{-1}, sqrt(f) for sampling.  SpectralField owns that layout (its half,
 inv_half and Sigma^{-1}'s base row inv_row, each computed once per field)
 and _filter is the one transform pair, so results are exactly real; the
 symmetry of f under frequency negation (which makes that legitimate) is a
-hard construction-time invariant of SpectralField.  _filter runs the 1-D
-passes that rfft2 and irfft2 make, in their order, without their argument
-handling: half_dft (rfft along axis 1, then fft along axis 0) and half_idft
-(ifft along axis 0, then irfft along axis 1), so its output is bit for bit
-irfft2(rfft2(v) * h).  A caller that applies several operators to one fixed
-vector takes half_dft once and only half_idft per operator.
+hard construction-time invariant of SpectralField.  _filter runs rfft2's and
+irfft2's 1-D passes in their order (half_dft, half_idft), so its output is
+bit for bit irfft2(rfft2(v) * h); PCG's operator, whose inputs pcg_solve
+checks, calls the two passes without _filter's checks.
 
 Everything here needs numpy only; the Matern reference's Bessel function K_1
 is a trapezoid sum (_bessel_k1), not scipy.special.

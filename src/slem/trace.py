@@ -1,15 +1,13 @@
 """Hutchinson probe pairs for the E-step trace term.
 
 The expensive half of each probe, u_i = (Sigma_t^{-1} + C)^{-1} v_i, is
-solved once per EM iteration.  The v's are the same on every map, so each
-solve starts from the previous map's u_i (make_probes' u0), which the change
-in (Sigma_t, C) between maps leaves a few PCG iterations from the new
-solution; such a solve stops at a tenth of its starting residual, floored
-at eps_pcg (pcg.FORCING).  There is no estimator here: the M-step
-transforms the pairs once per iteration (em.probe_spectrum) and adds that
-spectrum to the power spectrum of each residual it prices, after which the
-trace (1/M) sum_i v_i' Sigma_eta^{-1} u_i at every candidate range is a sum
-over frequencies with no FFT.
+solved once per EM map.  The v's are drawn once per fit, so each solve
+starts from the previous map's u_i (make_probes' u0), a few PCG iterations
+from the new solution, and stops at a tenth of its starting residual,
+floored at eps_pcg (pcg.FORCING).  There is no estimator here: the M-step
+adds the pairs' cross spectrum to each residual's power spectrum (em_step),
+after which the trace (1/M) sum_i v_i' Sigma_eta^{-1} u_i at every
+candidate range is a sum over frequencies with no FFT.
 """
 from __future__ import annotations
 
@@ -55,10 +53,10 @@ def rademacher(M: int, n: int, seed: int) -> np.ndarray:
 
 
 def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
-                eps_pcg: float = 1e-3, u0=None) -> ProbePairs:
-    """Draw M Rademacher probes (rademacher) and solve (Sigma_t^{-1} + C) u
-    = v for each, PCG starting from row i of the (M, n) array u0, or from
-    zero if u0 is None.
+                eps_pcg: float = 1e-3, u0=None, v=None) -> ProbePairs:
+    """Solve (Sigma_t^{-1} + C) u = v for the (M, n) Rademacher probes v,
+    rademacher(M, n, seed) unless the caller passes them, PCG starting from
+    row i of the (M, n) array u0, or from zero if u0 is None.
 
     A warm solve's starting residual v - A u0 measures how far the operator
     has moved since u0 was solved, so it stops at a residual change of
@@ -69,11 +67,12 @@ def make_probes(M: int, n: int, seed: int, f_t: SpectralField, c_diag,
         raise ConfigError(f"probe count M must be >= 1, got {M}")
     if n != f_t.n:
         raise ConfigError(f"probe length {n} does not match spectrum size {f_t.n}")
-    if u0 is not None and np.shape(u0) != (M, n):
-        raise ConfigError(f"probe start must be ({M}, {n}), got {np.shape(u0)}")
-    v = rademacher(M, n, seed)
+    for name, a in (("start", u0), ("v", v)):
+        if a is not None and np.shape(a) != (M, n):
+            raise ConfigError(f"probe {name} must be ({M}, {n}), got {np.shape(a)}")
+    v = rademacher(M, n, seed) if v is None else v
     op = precision_operator(f_t, np.asarray(c_diag, dtype=float))
-    u = np.empty_like(v)
+    u = np.empty((M, n))
     ok = np.empty(M, dtype=bool)
     iterations = 0
     forcing = 0.0 if u0 is None else FORCING

@@ -102,6 +102,94 @@ def test_power_spectrum_matches_matvec_and_trace_term(shape, M, seed):
     assert abs(got - (quad + tr)) <= 1e-12 * scale
 
 
+# odd and even n2, n2 of 1 and 2 (where the half plane is the full one), n1 = 1
+HALF_PLANE_SHAPES = [(5, 7), (6, 8), (7, 5), (4, 6), (3, 1), (4, 2), (1, 6), (1, 5), (1, 1)]
+
+
+def symmetric_spectrum(shape, rng):
+    """A random SpectralField: log-uniform values symmetrized under negation."""
+    raw = np.exp(rng.uniform(-3.0, 3.0, size=shape))
+    return SpectralField(0.5 * (raw + np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HALF_PLANE_SHAPES), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_half_plane_sums_are_the_full_plane_sums(shape, M, seed):
+    # each rfft2 half-plane column but 0 and n2 / 2 stands for its mirror too:
+    # weighted that way, the half-plane GLS, probe part and quartic moments are
+    # the full plane's
+    n1, n2 = shape
+    grid = GridSpec.unit(n1, n2)
+    rng = np.random.default_rng(seed)
+    f = symmetric_spectrum(shape, rng)
+    # an intercept and up to two slopes, few enough to keep the GLS well posed
+    slopes = 0 if grid.n < 6 else min(2, grid.n // 3 - 1)
+    X = np.column_stack([np.ones(grid.n), rng.standard_normal((grid.n, slopes))])
+    W = rng.standard_normal(grid.n) * rng.uniform(0.1, 10.0)
+    want = dense_gls(W, X, dense_sigma_inv(f))
+    got = update_beta(W, X, f)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    v = rng.choice([-1.0, 1.0], size=(M, grid.n))
+    probes = ProbePairs(v, rng.standard_normal((M, grid.n)), np.ones(M, dtype=bool))
+    full_probe = probe_spectrum(probes, grid)
+    v_hat, u_hat = em.half_spectra(v, shape), em.half_spectra(probes.u, shape)
+    half_probe = np.mean(v_hat.real * u_hat.real + v_hat.imag * u_hat.imag, axis=0)
+    cols = n2 // 2 + 1
+    np.testing.assert_allclose(unflatten(half_probe, n1, cols), full_probe[:, :cols],
+                               rtol=0, atol=1e-12 * np.max(np.abs(full_probe)))
+
+    r = W - X @ got
+    r_hat = em.half_spectra(W, shape)[0] - got @ em.half_spectra(X.T, shape)
+    full = power_spectrum(r, grid, full_probe)
+    half = r_hat.real ** 2 + r_hat.imag ** 2 + half_probe
+    s = spectral.frequency_sines(grid)
+    # the size of what the sums are taken from: W's and X beta's power before
+    # they cancel in the residual, and the probe part's
+    size = power_spectrum(W, grid, 0.0) + power_spectrum(X @ got, grid, np.abs(full_probe))
+    for k, moment in enumerate(em.power_moments(half, grid)):
+        assert abs(moment - float(np.sum(full * s ** k))) <= 1e-12 * float(np.sum(size * s ** k))
+    np.testing.assert_array_equal(em.power_moments(full, grid),
+                                  [np.sum(full), np.sum(full * s), np.sum(full * s * s)])
+
+
+@pytest.mark.parametrize("n1,n2", [(8, 8), (9, 7), (1, 12)])
+def test_em_step_prices_the_full_plane_power_spectrum(monkeypatch, n1, n2):
+    # the half-plane P that em_step hands quartic_profile, for the incumbent
+    # and for the GLS candidate, is the full-plane power_spectrum of the
+    # residual and the map's probe pairs, on the half plane
+    grid = GridSpec.unit(n1, n2)
+    eta = CovParams(amplitude_for_variance(0.5, 2.0, grid), 2.0)
+    data = simulate_dataset(SimScenario(grid, eta, np.array([0.5, 0.4, -0.3]), seed=1))
+    config = FitConfig(M=2, seed=0)
+    beta, eta, W = glm_start(data.Y, data.X, grid, (1e-2, float(n1)))
+    priced, seen = [], {}
+    real_profile, real_probes, real_gls = em.quartic_profile, em.make_probes, em.update_beta
+    monkeypatch.setattr(em, "quartic_profile", lambda P, g: priced.append(P) or real_profile(P, g))
+    monkeypatch.setattr(em, "make_probes", lambda *a: seen.setdefault("probes", real_probes(*a)))
+    monkeypatch.setattr(em, "update_beta", lambda *a: seen.setdefault("gls", real_gls(*a)))
+    _, _, W_new, *_ = em_step(data.Y, data.X, grid, config, beta, eta, W, {})
+    assert len(priced) == 2
+    probe_part = probe_spectrum(seen["probes"], grid)
+    for P, b in zip(priced, (beta, seen["gls"])):
+        full = power_spectrum(W_new - data.X @ b, grid, probe_part)
+        np.testing.assert_allclose(unflatten(P, n1, n2 // 2 + 1), full[:, : n2 // 2 + 1],
+                                   rtol=0, atol=1e-12 * np.max(np.abs(full)))
+    np.testing.assert_allclose(seen["gls"], dense_gls(W_new, data.X, dense_sigma_inv(
+        quasi_matern_spectrum(eta, grid))), rtol=1e-10)
+
+
+def test_power_moments_reject_a_spectrum_of_another_shape():
+    grid = GridSpec.unit(6, 7)
+    for bad in (np.ones((6, 4)), np.ones(6 * 7), np.ones(6 * 4 + 1), np.ones((7, 6))):
+        with pytest.raises(ConfigError, match="power spectrum shape"):
+            em.power_moments(bad, grid)
+    P = np.ones(6 * 4)
+    P[5] = np.nan
+    with pytest.raises(NumericalError):
+        em.power_moments(P, grid)
+
+
 def test_power_spectrum_rejects_bad_input():
     r = np.ones(GRID6.n)
     with pytest.raises(ConfigError):
@@ -418,7 +506,7 @@ def test_m_step_that_lowers_q_is_rejected(monkeypatch):
     Y, X, grid = small_dataset(seed=6)
     beta0, _, _ = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
     monkeypatch.setattr(em, "update_beta",
-                        lambda W, X, f, column_dfts=None: np.full(X.shape[1], 50.0))
+                        lambda W, X, f, design=None, w_hat=None: np.full(X.shape[1], 50.0))
     res = fit(Y, X, grid, FitConfig(max_em=4, seed=0))
     np.testing.assert_array_equal(res.theta_star.beta, beta0)
     q_inc, q_new = res.objective_trace.T
@@ -451,19 +539,17 @@ def test_em_step_builds_one_field_and_prices_q_as_q_tilde(monkeypatch):
 
 
 def test_em_step_is_the_same_map_with_and_without_the_fit_transforms():
-    # column_dfts and v_dfts only spare transforms; a cold and a warm map
-    # give the same six outputs, bit for bit, and the same diagnostics
+    # fit_transforms only spares transforms; a cold and a warm map give the
+    # same six outputs, bit for bit, and the same diagnostics
     Y, X, grid = small_dataset(seed=7)
     config = FitConfig(M=2, seed=3)
     beta, eta, W = glm_start(Y, X, grid, (1e-2, float(grid.n1)))
-    column_dfts = em.design_dfts(X, (grid.n1, grid.n2))
-    v_dfts = em.row_dfts(trace.rademacher(config.M, grid.n, config.seed), grid)
+    fixed = em.fit_transforms(X, grid, config)
     U = None
     for _ in range(2):
         plain_diag, given_diag = {}, {}
         plain = em_step(Y, X, grid, config, beta, eta, W, plain_diag, U)
-        given = em_step(Y, X, grid, config, beta, eta, W, given_diag, U,
-                        column_dfts=column_dfts, v_dfts=v_dfts)
+        given = em_step(Y, X, grid, config, beta, eta, W, given_diag, U, fixed=fixed)
         (b0, e0, W0, U0, *q0), (b1, e1, W1, U1, *q1) = plain, given
         assert e0 == e1 and q0 == q1 and plain_diag == given_diag
         for a, b in ((b0, b1), (W0, W1), (U0, U1)):
@@ -471,44 +557,78 @@ def test_em_step_is_the_same_map_with_and_without_the_fit_transforms():
         beta, eta, W, U = b0, e0, W0, U0
 
 
+def fft_inputs(monkeypatch, names=("rfft2", "fft2", "irfft2", "rfft", "fft", "irfft", "ifft")):
+    """{name: [a copy of each call's input]} for the numpy transforms named,
+    recorded from here on."""
+    seen = {name: [] for name in names}
+    for name in names:
+        def recording(a, *args, _real=getattr(np.fft, name), _seen=seen[name], **kwargs):
+            _seen.append(np.array(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recording)
+    return seen
+
+
 def test_probe_vs_are_transformed_once_per_fit_and_us_once_per_map(monkeypatch):
     # the v's are the same on every map and the u's are fixed within one, so
-    # pricing the beta and eta candidates must not transform either again
+    # pricing the beta and eta candidates must not transform either again;
+    # each is one stacked rfft2 on the half plane, and the full plane's fft2
+    # is left to the tests' references
     Y, X, grid = small_dataset(seed=8)
-    fft2 = np.fft.fft2
-    v_ffts, u_ffts = [], []
+    M = 3  # neither the design's 2 columns nor W's 1 row
+    seen = fft_inputs(monkeypatch, ("rfft2", "fft2"))
+    res = fit(Y, X, grid, FitConfig(M=M, max_em=3, eps_em=1e-300, seed=0))
+    assert res.em_iterations == 3
+    assert seen["fft2"] == []
+    stacks = [a.reshape(M, -1) for a in seen["rfft2"] if len(a) == M]
+    assert len(stacks) == 1 + res.em_iterations
+    np.testing.assert_array_equal(stacks[0], trace.rademacher(M, grid.n, 0))
+    assert not any(np.all(np.abs(u) == 1.0) for u in stacks[1:])
 
-    def counting_fft2(a, *args, **kwargs):
-        a = np.asarray(a)
-        if a.ndim == 3:  # a stack of probe rows; residuals come one at a time
-            rademacher = np.all(np.abs(a) == 1.0)
-            (v_ffts if rademacher else u_ffts).append(a.shape[0])
-        return fft2(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "fft2", counting_fft2)
+def test_mode_is_transformed_once_per_map(monkeypatch):
+    # one rfft2 of W per map prices the incumbent's residual, the GLS
+    # candidate's and the GLS right-hand side
+    Y, X, grid = small_dataset(seed=8)
+    seen = fft_inputs(monkeypatch, ("rfft2",))
+    modes = []
+    real = em.newton_mode
+
+    def recording(*args, **kwargs):
+        lap = real(*args, **kwargs)
+        modes.append(lap.mode)
+        return lap
+
+    monkeypatch.setattr(em, "newton_mode", recording)
     res = fit(Y, X, grid, FitConfig(M=2, max_em=3, eps_em=1e-300, seed=0))
     assert res.em_iterations == 3
-    assert v_ffts == [2]
-    assert u_ffts == [2] * 3
+    transformed = [a.reshape(-1) for a in seen["rfft2"] if len(a) == 1]
+    assert len(transformed) == res.em_iterations == len(modes) - 1
+    for w, mode in zip(transformed, modes):
+        np.testing.assert_array_equal(w, mode)
 
 
 def test_design_columns_are_transformed_once_per_fit(monkeypatch):
-    # the GLS step applies Sigma^{-1} to the same columns on every map; only
-    # the inverse transform depends on the map's spectrum
+    # the GLS step prices X' Sigma^{-1} X and X' Sigma^{-1} W by Parseval from
+    # the design's half-plane spectra, taken once per fit, and the map's
+    # transform of W: it makes no transform, forward or inverse, of its own
     Y, X, grid = small_dataset(seed=8, beta=(0.2, 0.7, -0.4))
-    columns = [unflatten(X[:, j], grid.n1, grid.n2) for j in range(X.shape[1])]
-    seen = [0] * len(columns)
-    rfft = np.fft.rfft
+    seen = fft_inputs(monkeypatch)
+    in_gls = []
+    real = em.update_beta
 
-    def counting_rfft(a, *args, **kwargs):
-        for j, col in enumerate(columns):
-            seen[j] += np.shape(a) == col.shape and np.array_equal(a, col)
-        return rfft(a, *args, **kwargs)
+    def gls(*args, **kwargs):
+        before = sum(map(len, seen.values()))
+        beta = real(*args, **kwargs)
+        in_gls.append(sum(map(len, seen.values())) - before)
+        return beta
 
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    monkeypatch.setattr(em, "update_beta", gls)
     res = fit(Y, X, grid, FitConfig(max_em=3, eps_em=1e-300, seed=0))
     assert res.em_iterations == 3
-    assert seen == [1, 1, 1]
+    assert in_gls == [0] * 3
+    columns = np.reshape(X.T, (X.shape[1], grid.n2, grid.n1))
+    assert sum(np.array_equal(a, columns) for a in seen["rfft2"]) == 1
 
 
 def test_frequency_sines_are_computed_once_per_grid_shape():
@@ -545,25 +665,27 @@ def test_em_step_builds_one_quartic_profile_per_priced_residual(monkeypatch, sch
 
 
 def test_probes_are_drawn_from_config_seed_on_every_map(monkeypatch):
-    # common random probes: every EM map solves against the same v's, and
-    # each map after the first starts its solves from the previous map's u
+    # common random probes: every EM map solves against the same v's, drawn
+    # once per fit from config.seed, and each map after the first starts its
+    # solves from the previous map's u
     Y, X, grid = small_dataset(seed=8)
     calls = []
     real = em.make_probes
 
-    def recording(M, n, seed, f_t, c_diag, eps_pcg, u0=None):
-        probes = real(M, n, seed, f_t, c_diag, eps_pcg, u0)
-        calls.append((seed, u0, probes.u))
+    def recording(M, n, seed, f_t, c_diag, eps_pcg, u0=None, v=None):
+        probes = real(M, n, seed, f_t, c_diag, eps_pcg, u0, v)
+        calls.append((seed, u0, probes.u, v))
         return probes
 
     monkeypatch.setattr(em, "make_probes", recording)
     res = fit(Y, X, grid, FitConfig(max_em=7, eps_em=1e-300, seed=11))
-    assert [seed for seed, _, _ in calls] == [11] * res.em_iterations == [11] * 7
+    assert [seed for seed, *_ in calls] == [11] * res.em_iterations == [11] * 7
     # a rejected extrapolation would hand the next map an older map's u
     assert res.diagnostics["squarem_rejects"] == 0
     assert calls[0][1] is None
-    for (_, _, u_prev), (_, u0, _) in zip(calls, calls[1:]):
-        assert u0 is u_prev
+    for (_, _, u_prev, v_prev), (_, u0, _, v) in zip(calls, calls[1:]):
+        assert u0 is u_prev and v is v_prev
+    np.testing.assert_array_equal(calls[0][3], trace.rademacher(1, grid.n, 11))
 
 
 def test_diagnostics_total_pcg_iterations_per_kind(monkeypatch):

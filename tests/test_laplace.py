@@ -140,24 +140,24 @@ def test_objective_non_decreasing_from_start():
         start, y, delta, Xbeta, f)[0]
 
 
-def test_newton_mode_transforms_sigma_inverse_once_per_evaluation(monkeypatch):
-    # Sigma^{-1}(W - X beta) outside the PCG solves: one for the start, one
-    # for every line-search trial; the score at an accepted W reuses its
-    # trial's transform.  So the count is steps + rejected trials + 1.
+def test_newton_mode_transforms_sigma_inverse_once_per_mode(monkeypatch):
+    # Sigma^{-1}(W - X beta) outside the PCG solves: one for the start; every
+    # line-search trial, rejected ones included, is priced from the PCG
+    # residual with no transform, and the score reuses the accepted trial's
     grid = GridSpec.unit(6, 6)
     Y, delta, Xbeta, f = make_instance(grid, CovParams(20.0, 3.0), seed=6)
     start = Xbeta - 6.0  # far below the data: the first full steps overshoot
-    seen = {"transforms": 0, "evaluations": 0, "in_pcg": False, "rhs": []}
-    real_inv, real_lp, real_pcg = (laplace.sigma_inv_matvec, laplace.log_posterior,
-                                   laplace.pcg_solve)
+    seen = {"transforms": 0, "trials": 0, "in_pcg": False, "rhs": []}
+    real_inv, real_density, real_pcg = (laplace.sigma_inv_matvec, laplace._log_density,
+                                        laplace.pcg_solve)
 
     def sigma_inv(f, v):
         seen["transforms"] += not seen["in_pcg"]
         return real_inv(f, v)
 
-    def evaluation(*args):
-        seen["evaluations"] += 1
-        return real_lp(*args)
+    def density(*args):
+        seen["trials"] += 1
+        return real_density(*args)
 
     def pcg(op, b, **kwargs):
         seen["rhs"].append(b)
@@ -168,17 +168,58 @@ def test_newton_mode_transforms_sigma_inverse_once_per_evaluation(monkeypatch):
             seen["in_pcg"] = False
 
     monkeypatch.setattr(laplace, "sigma_inv_matvec", sigma_inv)
-    monkeypatch.setattr(laplace, "log_posterior", evaluation)
+    monkeypatch.setattr(laplace, "_log_density", density)
     monkeypatch.setattr(laplace, "pcg_solve", pcg)
     fit = newton_mode(Y, delta, Xbeta, f, W_init=start)
     assert fit.converged
-    steps = fit.newton_iterations
-    rejected = seen["evaluations"] - 1 - steps
+    rejected = seen["trials"] - 1 - fit.newton_iterations  # the start is one density too
     assert rejected > 0
-    assert seen["transforms"] == steps + rejected + 1
-    # the reused transform gives the public score bit for bit
+    assert seen["transforms"] == 1
+    # the start's transform gives the public score bit for bit
     monkeypatch.setattr(laplace, "sigma_inv_matvec", real_inv)
     np.testing.assert_array_equal(seen["rhs"][0], posterior_score(start, Y, delta, Xbeta, f))
+
+
+def recorded_trials(monkeypatch):
+    """Every (W, prior_pull, log posterior) that newton_mode prices."""
+    trials = []
+    real = laplace._log_density
+
+    def density(W, y_vec, delta, Xbeta, prior_pull):
+        obj, e = real(W, y_vec, delta, Xbeta, prior_pull)
+        trials.append((W.copy(), prior_pull.copy(), obj))
+        return obj, e
+
+    monkeypatch.setattr(laplace, "_log_density", density)
+    return trials
+
+
+@pytest.mark.parametrize("max_iter", [None, 2])
+@pytest.mark.parametrize("n1,n2,alpha", [(6, 6, 3.0), (16, 12, 8.0)])
+def test_trial_points_are_priced_as_log_posterior_prices_them(monkeypatch, max_iter, n1, n2,
+                                                              alpha):
+    # Sigma^{-1} step = score - r - C step from the PCG residual r gives each
+    # trial's prior pull and log posterior without a transform; they must be
+    # log_posterior's, through backtracked trials and through solves cut at
+    # max_iter, whose returned residual is the returned step's
+    grid = GridSpec.unit(n1, n2)
+    Y, delta, Xbeta, f = make_instance(grid, CovParams(20.0, alpha), seed=3)
+    if max_iter is not None:
+        real_pcg = laplace.pcg_solve
+        monkeypatch.setattr(laplace, "pcg_solve",
+                            lambda op, b, **kw: real_pcg(op, b, max_iter=max_iter, **kw))
+    trials = recorded_trials(monkeypatch)
+    diag = {}
+    fit = newton_mode(Y, delta, Xbeta, f, W_init=Xbeta - 6.0, diagnostics=diag)
+    monkeypatch.undo()
+    assert len(trials) - 1 > fit.newton_iterations  # at least one trial backtracked
+    if max_iter is not None:
+        assert diag["pcg_nonconverged"] >= 1  # solves that stopped at max_iter
+    y = Y.vector()
+    for W, pull, obj in trials[1:]:
+        want_obj, want_pull = log_posterior(W, y, delta, Xbeta, f)
+        assert np.linalg.norm(pull - want_pull) <= 1e-10 * np.linalg.norm(want_pull)
+        assert abs(obj - want_obj) <= 1e-10 * abs(want_obj)
 
 
 def test_precision_operator_reads_the_cached_inverse_row(monkeypatch):

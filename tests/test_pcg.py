@@ -350,3 +350,104 @@ def test_solves_random_spd_instances(seed):
     res = pcg_solve(dense_operator(A), b, epsilon=1e-10, max_iter=200)
     expected = np.linalg.solve(A, b)
     assert np.linalg.norm(res.x - expected) / np.linalg.norm(expected) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the boundary checks and the returned residual
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["b", "x0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected_at_the_boundary(name, bad):
+    # the iterations no longer scan their vectors, so a bad b or x0 is caught
+    # before the first matvec, and the message names it
+    A, b = spd_test_system(10)
+    x0 = np.zeros(b.size)
+    (b if name == "b" else x0)[7] = bad
+    applied = []
+    op = SpdOperator(lambda v: applied.append(1) or A @ v, lambda r: r / np.diag(A))
+    with pytest.raises(NumericalError, match=f"PCG input {name} contains non-finite"):
+        pcg_solve(op, b, x0=x0)
+    assert applied == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["apply", "precondition"])
+def test_operator_turning_non_finite_at_iteration_k_raises(k, bad, where):
+    A, b = spd_test_system(11)
+    d = np.diag(A)
+    calls = {"apply": 0, "precondition": 0}
+
+    def faulty(kind, fn):
+        def call(v):
+            calls[kind] += 1
+            out = fn(v)
+            if kind == where and calls[kind] == k:
+                out[3] = bad
+            return out
+        return call
+
+    op = SpdOperator(faulty("apply", lambda v: A @ v), faulty("precondition", lambda r: r / d))
+    with pytest.raises(NumericalError):
+        pcg_solve(op, b, epsilon=1e-14, max_iter=50)
+    assert calls[where] == k
+
+
+def cg_iterates(A, b, steps):
+    """(x_j, b - A x_j) for j = 0 .. steps of textbook Jacobi-preconditioned
+    CG from zero, the residual recomputed from x_j."""
+    d = np.diag(A)
+    x, r = np.zeros(b.size), b.copy()
+    z = r / d
+    p = z.copy()
+    out = [(x.copy(), r.copy())]
+    for _ in range(steps):
+        Ap = A @ p
+        alpha = (r @ z) / (p @ Ap)
+        x = x + alpha * p
+        r_new = r - alpha * Ap
+        z_new = r_new / d
+        p = z_new + (r_new @ z_new) / (r @ z) * p
+        r, z = r_new, z_new
+        out.append((x.copy(), b - A @ x))
+    return out
+
+
+@pytest.mark.parametrize("max_iter", range(1, 9))
+def test_nonconverged_solve_returns_the_best_iterate_and_its_residual(max_iter):
+    # the best iterate is kept by swapping buffers; it must be the iterate of
+    # least ||r|| among x_0 .. x_k, returned with its own residual b - A x
+    A, b = spd_test_system(12)
+    res = pcg_solve(dense_operator(A), b, epsilon=1e-14, max_iter=max_iter)
+    assert not res.converged and res.iterations == max_iter
+    iterates = cg_iterates(A, b, max_iter)
+    best_x, best_r = min(iterates, key=lambda xr: np.linalg.norm(xr[1]))
+    scale = np.linalg.norm(b)
+    assert np.linalg.norm(res.x - best_x) <= 1e-10 * max(1.0, np.linalg.norm(best_x))
+    assert np.linalg.norm(res.residual - (b - A @ res.x)) <= 1e-12 * scale
+    assert np.linalg.norm(res.residual - best_r) <= 1e-10 * scale
+
+
+def test_best_iterate_is_not_always_the_last():
+    # the system above has a residual norm that rises at some step, so the
+    # swap path (returning the spare pair) is exercised
+    A, b = spd_test_system(12)
+    norms = [np.linalg.norm(r) for _, r in cg_iterates(A, b, 8)]
+    assert any(later > earlier for earlier, later in zip(norms, norms[1:]))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("eps,max_iter", [(1e-8, 500), (1e-3, 500), (1e-14, 4)])
+def test_returned_residual_is_b_minus_a_x(warm, eps, max_iter):
+    A, b = spd_test_system(13)
+    x0 = warm_start(A, b, 13) if warm else None
+    for solve_b in (b, np.zeros(b.size)):
+        res = pcg_solve(dense_operator(A), solve_b, x0=x0, epsilon=eps, max_iter=max_iter)
+        np.testing.assert_allclose(res.residual, solve_b - A @ res.x, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(b))
+    x_star = np.linalg.solve(A, b)
+    exact = pcg_solve(dense_operator(A), b, x0=x_star)
+    assert exact.iterations == 0
+    np.testing.assert_array_equal(exact.residual, b - A @ x_star)

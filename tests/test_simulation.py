@@ -196,3 +196,29 @@ def test_scenario_rejects_non_finite_beta(bad):
     # log-intensity of -inf
     with pytest.raises(ConfigError, match="beta must be finite"):
         SimScenario(GRID32, CovParams(0.5, 2.0), np.array([0.1, bad]))
+
+
+def test_scenarios_compare_and_hash_by_value():
+    # beta is an array; equality and the hash go by its values (a -0.0 slope
+    # equals 0.0, so it must hash alike), and a scenario keys a dict or a set
+    beta = np.array([0.5, 0.0, -1.0])
+    eta = CovParams(0.5, 2.0)
+    a = SimScenario(GRID32, eta, beta, replicates=2, seed=4)
+    same = SimScenario(GridSpec.unit(32, 32), CovParams(0.5, 2.0), [0.5, -0.0, -1.0],
+                       replicates=2, seed=4)
+    assert a == same and not a != same and hash(a) == hash(same)
+    others = [SimScenario(GRID32, eta, beta[:2], replicates=2, seed=4),
+              SimScenario(GRID32, eta, beta + [0.0, 1e-12, 0.0], replicates=2, seed=4),
+              SimScenario(GRID32, CovParams(0.5, 2.5), beta, replicates=2, seed=4),
+              SimScenario(GridSpec.unit(32, 16), eta, beta, replicates=2, seed=4),
+              SimScenario(GRID32, eta, beta, replicates=3, seed=4),
+              SimScenario(GRID32, eta, beta, replicates=2, seed=5)]
+    assert all(a != other for other in others)
+    assert len({a, same, *others}) == 1 + len(others)
+    assert {a: "drawn"}[same] == "drawn"
+    assert a != (GRID32, eta, beta, 2, 4) and SimScenario(GRID32, eta, [], seed=4) == \
+        SimScenario(GRID32, eta, np.zeros(0), seed=4)
+    # drawing the field leaves equality and the hash alone
+    before = hash(a)
+    simulate_dataset(a)
+    assert a == same and hash(a) == before
