@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import GridSpec, flatten, log_factorial
+from .grid import GridSpec, flatten, log_factorial, read_only
 
 BLOCK_LEN = 10
 _REDUCERS = {"avg": np.mean, "min": np.min, "max": np.max, "range": np.ptp}
@@ -35,9 +35,7 @@ class MinuteStack:
             )
         if fr.shape[0] % BLOCK_LEN != 0 or fr.shape[0] == 0:
             raise ConfigError(f"frame count {fr.shape[0]} is not a multiple of {BLOCK_LEN}")
-        fr = fr.copy()
-        fr.flags.writeable = False
-        object.__setattr__(self, "frames", fr)
+        object.__setattr__(self, "frames", read_only(fr.copy()))
 
     @property
     def n_blocks(self):

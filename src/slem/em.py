@@ -1,12 +1,13 @@
 """Monte Carlo EM for the gridded Cox model.
 
-The fit starts from a Poisson GLM of the counts (glm_start) and iterates one
-EM map, em_step: (beta, eta, W, U) -> (beta', eta', W', U').  E-step: the
-Laplace mode of W at the current theta, plus Hutchinson probe pairs for the
-trace correction, whose v's are drawn once per fit, so the map is
-deterministic; the probe solves U and the mode W start from the previous
-map's.  M-step: generalized least squares for beta, then a profiled 1-D
-search over the range for eta.  The surrogate objective is
+fit starts from a Poisson GLM of the counts (glm_start) and iterates the EM
+map em_step: (beta, eta, W, U) -> (beta', eta', W', U'), accelerated by
+SQUAREM (squarem).  E-step: the Laplace mode of W and Hutchinson probe pairs
+for the trace term, whose v's are drawn once per fit, so the map is
+deterministic; W and the probe solves U start from the previous map's.
+M-step: GLS for beta, then a profiled 1-D search over the range for eta,
+each kept only if it does not lower the surrogate objective, so a map's
+recorded (Q_inc, Q_new) is monotone by construction:
 
     Q(theta | theta_t; M) = -1/2 [ log|Sigma_eta|
                                    + (W_t - X beta)' Sigma_eta^{-1} (W_t - X beta)
@@ -18,24 +19,15 @@ divided by the candidate spectrum.  The M-step works on rfft2's half plane:
 fit transforms the design and the v's once (fit_transforms), each map its W
 and its u's once, and GLS, the residual spectrum at any beta and the moments
 of P (power_moments) follow with no further transform.  For the quasi-Matern
-shape the sum over P is a quartic in alpha with those three moments as
-coefficients (quartic_profile), so every candidate of the range search costs
-O(1) once spectral.shape_log_det has its alpha.  The map builds one
-SpectralField, the E-step's.  power_spectrum, probe_spectrum and q_tilde
-price Q on the full plane at any spectrum: the tests' references.
-
-Both M-step updates are guarded by an explicit keep-the-better comparison
-against the incumbent, so each map's recorded (Q_inc, Q_new) pair is
-monotone by construction, not just in exact arithmetic.
-
-fit accelerates the map with SQUAREM (squarem) on theta = (beta, log sigma2,
-log alpha) and stops at the first map whose RMS step in those coordinates is
-below config.eps_em; config.max_em caps the number of maps.
+shape the sum over P is a quartic in alpha in those moments (quartic_profile),
+so a range candidate costs O(1) once spectral.shape_log_det has its alpha.
+power_spectrum, probe_spectrum and q_tilde price Q on the full plane at any
+spectrum: the tests' references.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,8 +37,7 @@ from .covariates import _poisson_irls
 from .laplace import clamped_exp, newton_mode
 from .spectral import (CovParams, SpectralField, _sines, amplitude_for_variance, log_det,
                        quasi_matern_spectrum, shape_log_det)
-# unused here; kept for perfbench/tracing.py, which patches em.sigma_inv_matvec
-from .spectral import sigma_inv_matvec  # noqa: F401
+from .spectral import sigma_inv_matvec  # noqa: F401  unused; perfbench/tracing.py patches it
 from .trace import ProbePairs, make_probes, rademacher
 
 SIGMA2_FLOOR = 1e-8  # keeps the profiled variance strictly positive
@@ -117,15 +108,11 @@ class FitConfig:
             self.alpha_bounds = (float(ab[0]), float(ab[1]))
 
     def to_dict(self):
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        if d["alpha_bounds"] is not None:
-            d["alpha_bounds"] = list(d["alpha_bounds"])
-        return d
+        return asdict(self)  # JSON writes alpha_bounds' tuple as a list
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FitConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown fit config keys: {sorted(unknown)}")
         return cls(**doc)
@@ -532,11 +519,9 @@ def fit(Y: CountGrid, X, grid: GridSpec, config: FitConfig) -> FitResult:
 
     # refresh the mode at the final theta so W* matches theta*
     Xbeta = X @ beta
-    f = quasi_matern_spectrum(eta, grid)
-    lap = newton_mode(Y, grid.delta(), Xbeta, f, W_init=W, epsilon=config.eps_newton,
-                      max_newton=config.max_newton, eps_pcg=config.eps_pcg,
-                      diagnostics=diagnostics)
-    W_star = lap.mode
+    W_star = newton_mode(Y, grid.delta(), Xbeta, quasi_matern_spectrum(eta, grid), W_init=W,
+                         epsilon=config.eps_newton, max_newton=config.max_newton,
+                         eps_pcg=config.eps_pcg, diagnostics=diagnostics).mode
     diagnostics["runtime_seconds"] = time.perf_counter() - t0
 
     return FitResult(

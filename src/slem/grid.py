@@ -25,6 +25,12 @@ def unflatten(vec, n1, n2):
     return np.asarray(vec).reshape((n1, n2), order="F")
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, flagged read-only: for arrays that are cached or shared."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Pixel counts and domain bounds; pixel area is derived, never stored."""
@@ -144,9 +150,7 @@ class CountGrid:
             raise ConfigError(
                 f"count grid shape {vals.shape} does not match grid {self.grid.n1}x{self.grid.n2}"
             )
-        vals = check_counts(vals).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only(check_counts(vals).copy()))
 
     def vector(self):
         return flatten(self.values).astype(float)

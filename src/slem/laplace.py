@@ -35,8 +35,8 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
     """Matrix-free Sigma^{-1} + diag(c) with a diagonally scaled circulant
     preconditioner.
 
-    With s0 the lag-zero entry of Sigma^{-1} (its constant diagonal), c_bar =
-    mean(c) and S = sqrt((s0 + c_bar) / (s0 + c)),
+    With s0 = mean(1/f), the lag-zero entry (constant diagonal) of Sigma^{-1},
+    c_bar = mean(c) and S = sqrt((s0 + c_bar) / (s0 + c)),
 
         M^{-1} r = S . iDFT((1/f + c_bar)^{-1} . DFT(S . r)).
 
@@ -50,7 +50,7 @@ def precision_operator(f: SpectralField, c_diag: np.ndarray) -> SpdOperator:
         raise ConfigError(f"curvature shape {c_diag.shape} does not match grid size {f.n}")
     if not np.all(np.isfinite(c_diag)) or np.any(c_diag < 0):
         raise NumericalError("curvature entries must be finite and non-negative")
-    inv0 = f.inv_row[0]
+    inv0 = float(np.mean(1.0 / f.values))
     c_bar = float(np.mean(c_diag))
     scale = np.sqrt((inv0 + c_bar) / (inv0 + c_diag))
     middle = 1.0 / (f.inv_half + c_bar)
@@ -117,10 +117,8 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
         raise NumericalError("log posterior not finite at the Newton starting value")
     mean = delta * clamped_exp(W)
 
-    converged = False
-    iterations = 0
-    for _ in range(max_newton):
-        iterations += 1
+    converged, iterations = False, 0
+    for iterations in range(1, max_newton + 1):
         score = _score(W, y_vec, mean, prior_pull, diag)
         sol = pcg_solve(precision_operator(f, mean), score, epsilon=eps_pcg, forcing=FORCING)
         diag["newton_pcg_iterations"] = diag.get("newton_pcg_iterations", 0) + sol.iterations
@@ -130,17 +128,15 @@ def newton_mode(Y: CountGrid, delta, Xbeta, f: SpectralField, W_init=None,
         step = sol.x
         step_pull = score - sol.residual - mean * step  # Sigma^{-1} step
         t = 1.0
-        accepted = False
         slack = 1e-12 * (1.0 + abs(obj))  # fp headroom so tiny steps near the mode still land
         for _ in range(10):
             W_new = W + t * step
             pull_new = prior_pull + t * step_pull
             obj_new, e_new = _log_density(W_new, y_vec, delta, Xbeta, pull_new)
             if np.isfinite(obj_new) and obj_new >= obj - slack:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             diag["newton_stalled"] = diag.get("newton_stalled", 0) + 1
             break  # cannot improve; keep current W, report non-convergence
 

@@ -68,10 +68,9 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 <= forcing < 1.0:
         raise ConfigError(f"forcing must be in [0, 1), got {forcing}")
-    if max_iter is not None and max_iter < 1:
+    max_iter = default_max_iter(n) if max_iter is None else max_iter
+    if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if max_iter is None:
-        max_iter = default_max_iter(n)
     for name, v in (("b", b), ("x0", x0)):
         if v is not None and not np.all(np.isfinite(v)):
             raise NumericalError(f"PCG input {name} contains non-finite entries")
@@ -93,7 +92,7 @@ def pcg_solve(op: SpdOperator, b: np.ndarray, x0=None, epsilon: float = 1e-3,
     resid_norms = [math.sqrt(rz)]
     # x and r update in place; the best iterate is kept by swapping it with the
     # spare pair, not by copying x on each improvement
-    x_spare, r_spare, scaled = np.empty(n), np.empty(n), np.empty(n)
+    x_spare, r_spare, scaled = np.empty((3, n))
     at_best = True
     sqrt_n = math.sqrt(n)
     epsilon = max(epsilon, forcing * best_rnorm / sqrt_n)  # best_rnorm is ||r_0|| here

@@ -2,16 +2,8 @@
 
 The fitted posterior precision is Psi = Sigma^{-1} + diag(Delta exp(W*)).
 Full inversion is never done; the per-pixel variance comes from inverting the
-k x k wrap-around neighborhood of Psi around each pixel, which is exact when
-k covers the whole grid and cheap when it does not.  The quasi-Matern
-Sigma^{-1} is a 13-point stencil (its GMRF form), so each neighborhood block
-is sparse: the pixel's variance is 1 / its Schur complement after the other
-window pixels are eliminated along the stencil and its fill, in one
-minimum-degree order shared by every pixel.  A spectrum whose Sigma^{-1} is
-not such a stencil is rejected.  The elimination runs over chunks of whole
-grid columns in one workspace allocated per call, and each window's curvature
-is a shifted slice of the wrap-padded curvature raster, so its loops allocate
-no arrays.
+k x k wrap-around neighborhood of Psi around each pixel (local_variance),
+which is exact when k covers the whole grid and cheap when it does not.
 """
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Out-of-sample log score and RMSE on the log-intensity surface."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,12 +19,7 @@ class ScoreReport:
     runtime_seconds: float
 
     def to_dict(self):
-        return {
-            "log_score": self.log_score,
-            "rmse_full": self.rmse_full,
-            "rmse_interior": self.rmse_interior,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return asdict(self)
 
 
 def log_score(Y_test, lambda_hat, delta, scale: float = DEFAULT_SCALE) -> float:

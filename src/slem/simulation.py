@@ -15,7 +15,7 @@ import numpy as np
 
 from .em import config_number
 from .errors import ConfigError
-from .grid import CountGrid, GridSpec, PointPattern, unflatten
+from .grid import CountGrid, GridSpec, PointPattern, read_only, unflatten
 from .laplace import EXP_CLAMP
 from .spectral import CovParams, quasi_matern_spectrum, sample_gp
 
@@ -28,9 +28,8 @@ class SimScenario:
     replicates: int = 1
     seed: int = 0
 
-    def _key(self):  # beta by value: + 0.0 makes -0.0 (== 0.0) hash as 0.0 does
-        beta = (self.beta_true + 0.0).tobytes()
-        return self.grid, self.eta_true, beta, self.replicates, self.seed
+    def _key(self):  # beta by value; + 0.0 hashes -0.0 as 0.0, which it equals
+        return self.grid, self.eta_true, (self.beta_true + 0.0).tobytes(), self.replicates, self.seed
 
     def __eq__(self, other):
         return isinstance(other, SimScenario) and self._key() == other._key()
@@ -40,9 +39,7 @@ class SimScenario:
 
     def __post_init__(self):
         # its own read-only copy, so the drawn log-intensity cannot go stale
-        beta = np.array(self.beta_true, float, ndmin=1)
-        beta.flags.writeable = False
-        object.__setattr__(self, "beta_true", beta)
+        object.__setattr__(self, "beta_true", read_only(np.array(self.beta_true, float, ndmin=1)))
         if not np.all(np.isfinite(self.beta_true)):
             raise ConfigError(f"beta must be finite, got {self.beta_true.tolist()}")
         config_number("replicates", self.replicates, integer=True, least=1)
@@ -64,10 +61,7 @@ class SimScenario:
         log_lam = X @ self.beta_true + Z
         if np.any(log_lam > EXP_CLAMP):
             raise ConfigError("scenario intensity overflows exp clamp; rescale beta or eta")
-        drawn = X, Z, log_lam, grid.delta() * np.exp(log_lam)
-        for a in drawn:
-            a.flags.writeable = False
-        return drawn
+        return tuple(map(read_only, (X, Z, log_lam, grid.delta() * np.exp(log_lam))))
 
 
 @dataclass(frozen=True)

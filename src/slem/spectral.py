@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import GridSpec, flatten, unflatten
+from .grid import GridSpec, flatten, read_only, unflatten
 
 @dataclass(frozen=True)
 class CovParams:
@@ -65,9 +65,7 @@ class SpectralField:
         mirrored = np.roll(vals[::-1, ::-1], (1, 1), axis=(0, 1))
         if not np.all(np.abs(vals - mirrored) <= 1e-8 * np.abs(mirrored)):
             raise NumericalError("spectral field is not symmetric under frequency negation")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", read_only(vals.copy()))
 
     @property
     def shape(self):
@@ -84,23 +82,17 @@ class SpectralField:
         Stored in Fortran order, the order of half_dft's output, so a
         filter's product and its inverse passes stay in that order and
         half_idft flattens without a copy; the values are unchanged."""
-        half = np.asfortranarray(self.values[:, : self.shape[1] // 2 + 1])
-        half.flags.writeable = False
-        return half
+        return read_only(np.asfortranarray(self.values[:, : self.shape[1] // 2 + 1]))
 
     @cached_property
     def inv_half(self):
         """1 / f on the half plane: the spectrum of Sigma^{-1}."""
-        inv = 1.0 / self.half
-        inv.flags.writeable = False
-        return inv
+        return read_only(1.0 / self.half)
 
     @cached_property
     def inv_row(self):
         """First row of Sigma^{-1}: the inverse transform of 1/f."""
-        row = flatten(np.fft.irfft2(self.inv_half, s=self.shape))
-        row.flags.writeable = False
-        return row
+        return read_only(flatten(np.fft.irfft2(self.inv_half, s=self.shape)))
 
 
 def frequency_sines(grid: GridSpec) -> np.ndarray:
@@ -114,9 +106,7 @@ def frequency_sines(grid: GridSpec) -> np.ndarray:
 def _sines(n1: int, n2: int) -> np.ndarray:
     s1 = np.sin(np.pi * np.arange(n1) / n1) ** 2
     s2 = np.sin(np.pi * np.arange(n2) / n2) ** 2
-    s = s1[:, None] + s2[None, :]
-    s.flags.writeable = False
-    return s
+    return read_only(s1[:, None] + s2[None, :])
 
 
 def shape_log_det(alpha: float, grid: GridSpec) -> float:

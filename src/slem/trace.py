@@ -19,8 +19,7 @@ from .errors import ConfigError
 from .laplace import precision_operator
 from .pcg import FORCING, pcg_solve
 from .spectral import SpectralField
-# unused here; kept for perfbench/tracing.py, which patches trace.sigma_inv_matvec
-from .spectral import sigma_inv_matvec  # noqa: F401
+from .spectral import sigma_inv_matvec  # noqa: F401  unused; perfbench/tracing.py patches it
 
 
 @dataclass(frozen=True)

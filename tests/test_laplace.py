@@ -236,6 +236,21 @@ def test_precision_operator_reads_the_cached_inverse_row(monkeypatch):
     assert calls == []
 
 
+def test_precision_operator_takes_the_diagonal_without_building_the_inverse_row():
+    # s0 = mean(1/f) is inv_row[0], so a field that only serves PCG never transforms 1/f
+    grid = GridSpec.unit(6, 5)
+    Y, delta, Xbeta, f = make_instance(grid, CovParams(1.5, 3.0), seed=2)
+    c = delta * np.exp(Xbeta)
+    r = np.random.default_rng(3).standard_normal(grid.n)
+    got = precision_operator(f, c).precondition(r)
+    assert "inv_row" not in vars(f)
+    s0, c_bar = f.inv_row[0], np.mean(c)
+    scale = np.sqrt((s0 + c_bar) / (s0 + c))
+    middle = np.fft.irfft2(np.fft.rfft2(unflatten(scale * r, 6, 5)) / (1.0 / f.values[:, :3] + c_bar),
+                           s=(6, 5))
+    np.testing.assert_allclose(got, scale * middle.ravel(order="F"), rtol=1e-12, atol=1e-14)
+
+
 def test_warm_start_agrees_with_cold():
     grid = GridSpec.unit(6, 6)
     Y, delta, Xbeta, f = make_instance(grid, CovParams(1.5, 3.0), seed=8)

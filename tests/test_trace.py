@@ -111,6 +111,25 @@ def test_probe_start_of_the_wrong_shape_is_rejected(shape):
         make_probes(4, 64, seed=0, f_t=f_t, c_diag=c, u0=np.zeros(shape))
 
 
+def test_probes_passed_in_are_solved_against_and_not_redrawn(monkeypatch):
+    # fit draws the v's once and hands them to every map's make_probes
+    f_t, c = standard_instance(4)
+    v = trace.rademacher(3, 64, 8)
+    monkeypatch.setattr(trace, "rademacher", lambda *args: pytest.fail("v redrawn"))
+    given = make_probes(3, 64, seed=8, f_t=f_t, c_diag=c, eps_pcg=1e-10, v=v)
+    monkeypatch.undo()
+    drawn = make_probes(3, 64, seed=8, f_t=f_t, c_diag=c, eps_pcg=1e-10)
+    np.testing.assert_array_equal(given.v, v)
+    np.testing.assert_array_equal(given.u, drawn.u)
+
+
+@pytest.mark.parametrize("shape", [(3, 64), (4, 63), (64,)])
+def test_probe_vs_of_the_wrong_shape_are_rejected(shape):
+    f_t, c = standard_instance()
+    with pytest.raises(ConfigError, match="probe v"):
+        make_probes(4, 64, seed=0, f_t=f_t, c_diag=c, v=np.ones(shape))
+
+
 def test_probe_pairs_validation():
     with pytest.raises(Exception):
         ProbePairs(np.full((2, 4), 0.5), np.zeros((2, 4)), np.ones(2, dtype=bool))
